@@ -203,10 +203,6 @@ class _RunLog:
         return False
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -247,7 +243,7 @@ def cmd_rv(args: argparse.Namespace) -> int:
             daily = [(g.trading_day, ingest.bipower_variation(g)) for g in grids]
             log.info("rv_days symbol=%s days=%d", symbol, len(daily))
             per_symbol[symbol] = daily
-            lines = ["date,bpv"] + [f"{d.isoformat()},{_fmt(v)}" for d, v in daily]
+            lines = ["date,bpv"] + [f"{d.isoformat()},{float(v)!r}" for d, v in daily]
             (out / f"rv_{symbol}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         if len(per_symbol) >= 2:
             panel = ingest.build_panel(per_symbol, transform=str(cfg["transform"]))
@@ -278,7 +274,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model = varcore.fit_var(panel, int(cfg["lags"]), include_intercept=not args.no_intercept)
         stable, radius = varcore.stability(model)
         log.info("fit k=%d p=%d n_obs=%d radius=%s stable=%s",
-                 model.k, model.p, model.n_obs, _fmt(radius), str(stable).lower())
+                 model.k, model.p, model.n_obs, repr(float(radius)), str(stable).lower())
         (out / "var_model.txt").write_text(varcore.model_to_text(model), encoding="utf-8")
     print(f"fit: k={model.k} p={model.p} spectral_radius={radius:.6g} -> {out / 'var_model.txt'}")
     return 0
@@ -302,10 +298,10 @@ def cmd_connect(args: argparse.Namespace) -> int:
         (out / "connectedness_table.csv").write_text(table.to_csv_text(), encoding="utf-8")
         (out / "connectedness_table.txt").write_text(table.to_text(), encoding="utf-8")
         dy_lines = [
-            f"total: {_fmt(dy.total)}",
-            "from: " + " ".join(_fmt(v) for v in dy.from_others),
-            "to: " + " ".join(_fmt(v) for v in dy.to_others),
-            "net: " + " ".join(_fmt(v) for v in dy.net),
+            f"total: {float(dy.total)!r}",
+            "from: " + " ".join(repr(float(v)) for v in dy.from_others),
+            "to: " + " ".join(repr(float(v)) for v in dy.to_others),
+            "net: " + " ".join(repr(float(v)) for v in dy.net),
             "variable_names: " + " ".join(table.variable_names),
         ]
         (out / "dy_measures.txt").write_text("\n".join(dy_lines) + "\n", encoding="utf-8")
@@ -316,16 +312,16 @@ def cmd_connect(args: argparse.Namespace) -> int:
             csv_lines += [",".join(row) for row in freqdomain.band_measures_to_csv_rows(m)]
         (out / "band_measures.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
-        report = [f"time_domain_total: {_fmt(dy.total)}"]
+        report = [f"time_domain_total: {float(dy.total)!r}"]
         for m in measures:
-            report.append(f"band[{m.band.label}]: within_total={_fmt(m.within_total)} "
-                          f"gamma={_fmt(m.gamma)} absolute_total={_fmt(m.absolute_total)}")
+            report.append(f"band[{m.band.label}]: within_total={float(m.within_total)!r} "
+                          f"gamma={float(m.gamma)!r} absolute_total={float(m.absolute_total)!r}")
         if freqdomain.is_partition(bands):
             total_abs = sum(m.absolute_total for m in measures)
             residual = abs(total_abs - dy.total)
-            report.append(f"sum_band_absolute_totals: {_fmt(total_abs)}")
-            report.append(f"reconstruction_residual: {_fmt(residual)}")
-            log.info("reconstruction residual=%s", _fmt(residual))
+            report.append(f"sum_band_absolute_totals: {float(total_abs)!r}")
+            report.append(f"reconstruction_residual: {float(residual)!r}")
+            log.info("reconstruction residual=%s", repr(float(residual)))
         else:
             report.append("reconstruction_residual: not_computed (bands do not partition (0, pi])")
             log.info("reconstruction skipped reason=bands_not_a_partition")
@@ -388,12 +384,12 @@ def _write_ratios(result, bands, symbols, out: Path) -> None:
     for base in bases:
         series = dynamics.ratio_series(result, f"{base}@{short.label}", f"{base}@{long_.label}")
         for day, value in series:
-            cell = "" if not np.isfinite(value) else _fmt(value)
+            cell = "" if not np.isfinite(value) else repr(float(value))
             ratio_lines.append(f"{day.isoformat()},ratio.{base},{cell}")
         try:
             fit = dynamics.linear_trend(series)
-            trend_lines.append(f"ratio.{base},{_fmt(fit.slope)},{_fmt(fit.intercept)},"
-                               f"{_fmt(fit.r_squared)}")
+            trend_lines.append(f"ratio.{base},{float(fit.slope)!r},{float(fit.intercept)!r},"
+                               f"{float(fit.r_squared)!r}")
         except DataError as exc:
             log.info("trend_skipped measure=%s reason=%s", base, exc)
     (out / "ratios.csv").write_text("\n".join(ratio_lines) + "\n", encoding="utf-8")
@@ -430,12 +426,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
                  panel.shape[0], panel.shape[1], int(cfg["seed"]))
 
         h_trunc = int(cfg["htrunc"])
-        truth = dynamics.evaluate_measures(model, bands, h_trunc, int(cfg["nfreq"]))
+        truth = dict(zip(dynamics.measure_ids(model.variable_names, bands),
+                         dynamics.evaluate_measures(model, bands, h_trunc, int(cfg["nfreq"]))))
         lines = [varcore.model_to_text(model).rstrip("\n"), f"h_trunc: {h_trunc}"]
-        lines += [f"truth: {mid} {_fmt(value)}" for mid, value in truth.items()]
+        lines += [f"truth: {mid} {float(value)!r}" for mid, value in truth.items()]
         if freqdomain.is_partition(bands):
             total_abs = sum(truth[f"abs_total@{b.label}"] for b in bands)
-            lines.append(f"truth_reconstruction_residual: {_fmt(abs(total_abs - truth['total']))}")
+            lines.append(f"truth_reconstruction_residual: {float(abs(total_abs - truth['total']))!r}")
         (out / "truth.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"synth: wrote panel ({panel.shape[0]} x {panel.shape[1]}) and truth sidecar to {out}")
     return 0

@@ -5,22 +5,26 @@ Measure identifiers: time-domain measures are ``total``, ``from.<var>``,
 ``to.<var>``, ``net.<var>``, ``pairwise.<a>.<b>``; band-scoped measures
 append ``@<band label>``, e.g. ``within_from.CO@1-5 days``. These keys name
 the series in :class:`RollingResult` and in the long-format CSV.
+:func:`measure_ids` is the one place that spells them: every measure vector
+(:func:`evaluate_measures`, the bands of :func:`bootstrap_bands`) holds one
+value per identifier, in that order.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import logging
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
 from .freqdomain import BandSpec, band_measures, spectral_gfevd
-from .ingest import VolatilityPanel, _var_recursion
+from .ingest import VolatilityPanel, simulate_var
 from .timedomain import dy_measures, gfevd
 from .varcore import VarModel, fit_var_values, stability, wold
 
@@ -128,21 +132,22 @@ class RollingResult:
 # ---------------------------------------------------------------------------
 
 def measure_ids(variable_names: Sequence[str], bands: Sequence[BandSpec]) -> list[str]:
-    """Canonical ordering of every measure the rolling engine reports."""
+    """Canonical ordering of every measure the rolling engine reports.
+    Pairs run over the upper triangle row by row, as ``np.triu_indices``."""
     names = list(variable_names)
+    pairs = [f"{a}.{b}" for i, a in enumerate(names) for b in names[i + 1:]]
     ids = ["total"]
     ids += [f"from.{v}" for v in names]
     ids += [f"to.{v}" for v in names]
     ids += [f"net.{v}" for v in names]
-    ids += [f"pairwise.{a}.{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    ids += [f"pairwise.{ab}" for ab in pairs]
     for band in bands:
         suffix = "@" + band.label
         ids.append("within_total" + suffix)
         ids += [f"within_from.{v}" + suffix for v in names]
         ids += [f"within_to.{v}" + suffix for v in names]
         ids += [f"within_net.{v}" + suffix for v in names]
-        ids += [f"within_pairwise.{a}.{b}" + suffix
-                for i, a in enumerate(names) for b in names[i + 1:]]
+        ids += [f"within_pairwise.{ab}" + suffix for ab in pairs]
         ids.append("gamma" + suffix)
         ids.append("abs_total" + suffix)
         ids += [f"abs_from.{v}" + suffix for v in names]
@@ -155,44 +160,21 @@ def evaluate_measures(
     bands: Sequence[BandSpec],
     h_trunc: int,
     n_freq: int,
-) -> dict[str, float]:
-    """Time-domain and per-band measures for one fitted model, keyed by
-    measure identifier."""
-    names = model.variable_names
+) -> np.ndarray:
+    """Time-domain and per-band measures for one fitted model, as one float
+    vector in :func:`measure_ids` order."""
     w = wold(model, h_trunc)
     dy = dy_measures(gfevd(model, w, h_trunc))
-    out: dict[str, float] = {"total": dy.total}
-    for i, v in enumerate(names):
-        out[f"from.{v}"] = float(dy.from_others[i])
-    for i, v in enumerate(names):
-        out[f"to.{v}"] = float(dy.to_others[i])
-    for i, v in enumerate(names):
-        out[f"net.{v}"] = float(dy.net[i])
-    for i, a in enumerate(names):
-        for j in range(i + 1, len(names)):
-            out[f"pairwise.{a}.{names[j]}"] = float(dy.pairwise[i, j])
+    upper = np.triu_indices(model.k, 1)
+    parts = [[dy.total], dy.from_others, dy.to_others, dy.net, dy.pairwise[upper]]
     if bands:
         grid = spectral_gfevd(model, w, n_freq)
         for band in bands:
             bm = band_measures(grid, band)
-            suffix = "@" + band.label
-            out["within_total" + suffix] = bm.within_total
-            for i, v in enumerate(names):
-                out[f"within_from.{v}" + suffix] = float(bm.within_from[i])
-            for i, v in enumerate(names):
-                out[f"within_to.{v}" + suffix] = float(bm.within_to[i])
-            for i, v in enumerate(names):
-                out[f"within_net.{v}" + suffix] = float(bm.within_net[i])
-            for i, a in enumerate(names):
-                for j in range(i + 1, len(names)):
-                    out[f"within_pairwise.{a}.{names[j]}" + suffix] = float(bm.within_pairwise[i, j])
-            out["gamma" + suffix] = bm.gamma
-            out["abs_total" + suffix] = bm.absolute_total
-            for i, v in enumerate(names):
-                out[f"abs_from.{v}" + suffix] = float(bm.absolute_from[i])
-            for i, v in enumerate(names):
-                out[f"abs_to.{v}" + suffix] = float(bm.absolute_to[i])
-    return out
+            parts += [[bm.within_total], bm.within_from, bm.within_to, bm.within_net,
+                      bm.within_pairwise[upper], [bm.gamma, bm.absolute_total],
+                      bm.absolute_from, bm.absolute_to]
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +207,9 @@ def rolling_connectedness(
     starts = range(0, t_total - window + 1, step)
     anchors = tuple(panel.dates[s + window - 1] for s in starts)
     ids = measure_ids(panel.symbols, bands)
-    n_win = len(anchors)
-    points = {m: np.full(n_win, np.nan) for m in ids}
-    lowers = {m: np.full(n_win, np.nan) for m in ids}
-    uppers = {m: np.full(n_win, np.nan) for m in ids}
+    points = np.full((len(anchors), len(ids)), np.nan)
+    lowers = points.copy()
+    uppers = points.copy()
     gaps: list[tuple[dt.date, str]] = []
     n_valid = 0
 
@@ -246,28 +227,28 @@ def rolling_connectedness(
             log.warning("window_gap anchor=%s reason=unstable radius=%.6g",
                         anchors[w_idx], radius)
             continue
-        measures = evaluate_measures(model, bands, h_trunc, n_freq)
-        for m, v in measures.items():
-            points[m][w_idx] = v
+        points[w_idx] = evaluate_measures(model, bands, h_trunc, n_freq)
         n_valid += 1
         if bootstrap is not None:
-            bands_by_measure = bootstrap_bands(
+            lowers[w_idx], uppers[w_idx] = bootstrap_bands(
                 model, window,
                 bands=bands, h_trunc=h_trunc, n_freq=n_freq,
                 replications=bootstrap.replications,
                 significance=bootstrap.significance,
                 seed=(bootstrap.seed, w_idx),
                 include_intercept=include_intercept,
-                measure_subset=ids,
             )
-            for m, (lo, hi) in bands_by_measure.items():
-                point = points[m][w_idx]
-                lowers[m][w_idx] = min(lo, point) if np.isfinite(point) else lo
-                uppers[m][w_idx] = max(hi, point) if np.isfinite(point) else hi
 
     if n_valid == 0:
         raise NumericError("no valid windows: every fit failed or was unstable")
-    series = {m: MeasureSeries(points[m], lowers[m], uppers[m]) for m in ids}
+    # Widen each band to hold its finite point estimate. A tie keeps the
+    # bootstrap bound, so a +0.0/-0.0 pair keeps the bound's sign, which
+    # np.minimum/np.maximum would not.
+    finite = np.isfinite(points)
+    lowers = np.where(finite & (points < lowers), points, lowers)
+    uppers = np.where(finite & (points > uppers), points, uppers)
+    series = {m: MeasureSeries(points[:, i], lowers[:, i], uppers[:, i])
+              for i, m in enumerate(ids)}
     return RollingResult(
         window_length=window, step=step, anchor_dates=anchors, series=series,
         bands_used=tuple(bands), bootstrap_meta=bootstrap, gaps=tuple(gaps),
@@ -277,28 +258,6 @@ def rolling_connectedness(
 # ---------------------------------------------------------------------------
 # parametric bootstrap
 # ---------------------------------------------------------------------------
-
-def _simulate_replicates(model: VarModel, length: int, replications: int, seed) -> np.ndarray:
-    """(replications, length, k) panels simulated from the fitted VAR.
-
-    Innovation streams are drawn per replicate from rng((seed..., rep)) and
-    the recursion runs batched over replicates, so output is independent of
-    execution order.
-    """
-    try:
-        chol = np.linalg.cholesky(model.sigma)
-    except np.linalg.LinAlgError:
-        raise NumericError("fitted covariance is not positive definite") from None
-    burn = max(1000, 10 * model.p)
-    total = burn + length
-    seed_parts = tuple(np.atleast_1d(seed).tolist()) if not isinstance(seed, tuple) else seed
-    eps = np.empty((total, replications, model.k))
-    for rep in range(replications):
-        rng = np.random.default_rng((*seed_parts, rep))
-        eps[:, rep, :] = rng.standard_normal((total, model.k)) @ chol.T
-    x = _var_recursion(model, eps)
-    return x[burn:].transpose(1, 0, 2)
-
 
 def bootstrap_bands(
     model: VarModel,
@@ -310,57 +269,46 @@ def bootstrap_bands(
     significance: float = DEFAULT_SIGNIFICANCE,
     seed=0,
     include_intercept: bool = True,
-    measure_subset: Iterable[str] | None = None,
-) -> dict[str, tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Parametric-bootstrap quantile bands for connectedness measures.
 
     Simulates ``replications`` panels of length ``window`` from the fitted
-    model, re-fits and re-evaluates each, and returns the empirical
-    (significance/2, 1 - significance/2) quantiles per measure. Replicates
-    whose re-fit is unstable are skipped; more than 20% skipped is an error.
+    model, replicate ``rep`` from the seed ``(*seed, rep)``, re-fits and
+    re-evaluates each, and returns ``(lower, upper)``: the empirical
+    (significance/2, 1 - significance/2) quantiles of each measure, as
+    vectors in :func:`measure_ids` order. Non-finite replicate values are
+    left out of the quantiles; a measure with none finite gets NaN bounds.
+    Replicates whose re-fit is unstable are skipped; more than 20% skipped
+    is an error.
     """
-    if replications < 100:
-        raise UsageError("bootstrap needs at least 100 replications")
-    if not 0.0 < significance < 1.0:
-        raise UsageError("significance must lie in (0, 1)")
+    BootstrapSpec(replications, significance)
     stable, radius = stability(model)
     if not stable:
         raise NumericError(f"cannot bootstrap an unstable model (radius {radius:.6g})")
-    subset = set(measure_subset) if measure_subset is not None else None
 
-    panels = _simulate_replicates(model, window, replications, seed)
-    collected: dict[str, list[float]] = {}
+    seed_parts = seed if isinstance(seed, tuple) else tuple(np.atleast_1d(seed).tolist())
+    panels = simulate_var(model, window, [(*seed_parts, rep) for rep in range(replications)])
+    samples = np.full((replications, len(measure_ids(model.variable_names, bands))), np.nan)
     n_bad = 0
-    for rep in range(replications):
+    for rep, values in enumerate(panels):
         try:
-            refit = fit_var_values(panels[rep], model.p, include_intercept,
-                                   model.variable_names)
+            refit = fit_var_values(values, model.p, include_intercept, model.variable_names)
             if not refit.is_stable:
                 raise NumericError("unstable replicate")
-            measures = evaluate_measures(refit, bands, h_trunc, n_freq)
+            samples[rep] = evaluate_measures(refit, bands, h_trunc, n_freq)
         except (DataError, NumericError):
             n_bad += 1
-            continue
-        for m, v in measures.items():
-            if subset is not None and m not in subset:
-                continue
-            collected.setdefault(m, []).append(v)
     if n_bad > 0.2 * replications:
         raise NumericError(
             f"{n_bad}/{replications} bootstrap replicates were unstable; "
             "use a larger window"
         )
-    q_lo, q_hi = significance / 2.0, 1.0 - significance / 2.0
-    out: dict[str, tuple[float, float]] = {}
-    for m, vals in collected.items():
-        arr = np.asarray(vals)
-        arr = arr[np.isfinite(arr)]
-        if len(arr) == 0:
-            out[m] = (np.nan, np.nan)
-        else:
-            lo, hi = np.quantile(arr, [q_lo, q_hi])
-            out[m] = (float(lo), float(hi))
-    return out
+    samples[~np.isfinite(samples)] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN column -> NaN bounds
+        lower, upper = np.nanquantile(samples, [significance / 2.0, 1.0 - significance / 2.0],
+                                      axis=0)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

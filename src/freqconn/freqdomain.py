@@ -348,28 +348,24 @@ def band_measures(grid: SpectralGrid, band: BandSpec) -> BandMeasures:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def band_measures_to_text(measures: BandMeasures) -> str:
     m = measures
     names = " ".join(m.variable_names)
     lines = [
         f"band: {m.band.label}",
-        f"lower: {_fmt(m.band.lower)}",
-        f"upper: {_fmt(m.band.upper)}",
+        f"lower: {float(m.band.lower)!r}",
+        f"upper: {float(m.band.upper)!r}",
         f"variable_names: {names}",
-        f"within_total: {_fmt(m.within_total)}",
-        f"gamma: {_fmt(m.gamma)}",
-        f"absolute_total: {_fmt(m.absolute_total)}",
-        "within_from: " + " ".join(_fmt(v) for v in m.within_from),
-        "within_to: " + " ".join(_fmt(v) for v in m.within_to),
-        "within_net: " + " ".join(_fmt(v) for v in m.within_net),
-        "absolute_from: " + " ".join(_fmt(v) for v in m.absolute_from),
-        "absolute_to: " + " ".join(_fmt(v) for v in m.absolute_to),
-        "within_table: " + " ; ".join(" ".join(_fmt(v) for v in row) for row in m.within_table),
-        "within_pairwise: " + " ; ".join(" ".join(_fmt(v) for v in row) for row in m.within_pairwise),
+        f"within_total: {float(m.within_total)!r}",
+        f"gamma: {float(m.gamma)!r}",
+        f"absolute_total: {float(m.absolute_total)!r}",
+        "within_from: " + " ".join(repr(float(v)) for v in m.within_from),
+        "within_to: " + " ".join(repr(float(v)) for v in m.within_to),
+        "within_net: " + " ".join(repr(float(v)) for v in m.within_net),
+        "absolute_from: " + " ".join(repr(float(v)) for v in m.absolute_from),
+        "absolute_to: " + " ".join(repr(float(v)) for v in m.absolute_to),
+        "within_table: " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in m.within_table),
+        "within_pairwise: " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in m.within_pairwise),
     ]
     return "\n".join(lines) + "\n"
 
@@ -379,17 +375,17 @@ def band_measures_to_csv_rows(measures: BandMeasures) -> list[tuple[str, str, st
     m = measures
     names = m.variable_names
     rows = [
-        (m.band.label, "within_total", "", "", _fmt(m.within_total)),
-        (m.band.label, "gamma", "", "", _fmt(m.gamma)),
-        (m.band.label, "absolute_total", "", "", _fmt(m.absolute_total)),
+        (m.band.label, "within_total", "", "", repr(float(m.within_total))),
+        (m.band.label, "gamma", "", "", repr(float(m.gamma))),
+        (m.band.label, "absolute_total", "", "", repr(float(m.absolute_total))),
     ]
     for vec_name in ("within_from", "within_to", "within_net", "absolute_from", "absolute_to"):
         vec = getattr(m, vec_name)
-        rows.extend((m.band.label, vec_name, names[i], "", _fmt(vec[i])) for i in range(len(names)))
+        rows.extend((m.band.label, vec_name, names[i], "", repr(float(vec[i]))) for i in range(len(names)))
     for mat_name in ("within_table", "within_pairwise"):
         mat = getattr(m, mat_name)
         rows.extend(
-            (m.band.label, mat_name, names[i], names[j], _fmt(mat[i, j]))
+            (m.band.label, mat_name, names[i], names[j], repr(float(mat[i, j])))
             for i in range(len(names)) for j in range(len(names))
         )
     return rows

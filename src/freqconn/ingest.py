@@ -175,7 +175,7 @@ class PanelStats:
         out = ["statistic," + ",".join(self.symbols)]
         for name in self.STAT_NAMES:
             vals = getattr(self, name)
-            out.append(name + "," + ",".join(_fmt(v) for v in vals))
+            out.append(name + "," + ",".join(repr(float(v)) for v in vals))
         return "\n".join(out) + "\n"
 
 
@@ -397,17 +397,19 @@ def synth_var_panel(
     stable, radius = stability(model)
     if not stable:
         raise NumericError(f"generator VAR is unstable (spectral radius {radius:.6g})")
-    values = simulate_var(model, n_periods, seed)
+    values = simulate_var(model, n_periods, [seed])[0]
     dates = tuple(start_date + dt.timedelta(days=i) for i in range(n_periods))
     return VolatilityPanel(dates, model.variable_names, values, transform_tag=transform_tag)
 
 
-def simulate_var(model, n_periods: int, seed) -> np.ndarray:
-    """Simulate ``n_periods`` observations from a VAR after burn-in.
+def simulate_var(model, n_periods: int, seeds: Sequence) -> np.ndarray:
+    """Simulate ``n_periods`` observations from a VAR after burn-in, once per
+    seed: returns ``(len(seeds), n_periods, k)``.
 
-    ``seed`` may be anything accepted by ``numpy.random.default_rng``;
-    replicate streams are derived by seeding with (seed, replicate) tuples
-    upstream, so parallel execution never changes output.
+    Each entry of ``seeds`` may be anything accepted by
+    ``numpy.random.default_rng`` and draws its own innovation stream; the
+    recursion then runs batched over the streams, so a run's output does
+    not depend on which other seeds share its batch.
     """
     try:
         chol = np.linalg.cholesky(model.sigma)
@@ -415,14 +417,15 @@ def simulate_var(model, n_periods: int, seed) -> np.ndarray:
         raise NumericError("innovation covariance is not positive definite") from None
     burn = max(1000, 10 * model.p)
     total = burn + n_periods
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((total, model.k)) @ chol.T
-    return _var_recursion(model, eps)[burn:]
+    eps = np.empty((total, len(seeds), model.k))
+    for i, seed in enumerate(seeds):
+        eps[:, i] = np.random.default_rng(seed).standard_normal((total, model.k)) @ chol.T
+    return _var_recursion(model, eps)[burn:].transpose(1, 0, 2)
 
 
 def _var_recursion(model, eps: np.ndarray) -> np.ndarray:
-    """Run x_t = c + sum_j Phi_j x_{t-j} + eps_t from a zero start.
-    ``eps`` may be (T, k) or batched (T, reps, k)."""
+    """Run x_t = c + sum_j Phi_j x_{t-j} + eps_t from a zero start over
+    batched innovations ``eps`` of shape (T, reps, k)."""
     p, k = model.p, model.k
     total = eps.shape[0]
     x = np.zeros_like(eps)
@@ -440,14 +443,10 @@ def _var_recursion(model, eps: np.ndarray) -> np.ndarray:
 # panel CSV interface
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_panel_csv(panel: VolatilityPanel, path: str | Path) -> None:
     lines = ["date," + ",".join(panel.symbols)]
     for i, d in enumerate(panel.dates):
-        lines.append(d.isoformat() + "," + ",".join(_fmt(v) for v in panel.values[i]))
+        lines.append(d.isoformat() + "," + ",".join(repr(float(v)) for v in panel.values[i]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

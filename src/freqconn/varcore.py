@@ -51,6 +51,8 @@ class VarModel:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "sigma", s)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
+        object.__setattr__(self, "_spectral_radius",
+                           float(np.abs(np.linalg.eigvals(self.companion())).max()))
 
     def companion(self) -> np.ndarray:
         """(k p) x (k p) companion matrix of the lag polynomial."""
@@ -63,7 +65,8 @@ class VarModel:
 
     @property
     def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.companion())).max())
+        """Largest companion eigenvalue modulus, solved once at construction."""
+        return self._spectral_radius
 
     @property
     def is_stable(self) -> bool:
@@ -182,12 +185,8 @@ def wold(model: VarModel, h_trunc: int = DEFAULT_TRUNCATION) -> WoldSequence:
 # structured text serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_matrix(m: np.ndarray) -> str:
-    return " ; ".join(" ".join(_fmt(v) for v in row) for row in np.atleast_2d(m))
+    return " ; ".join(" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(m))
 
 
 def _parse_matrix(text: str, k: int) -> np.ndarray:
@@ -207,12 +206,12 @@ def model_to_text(model: VarModel) -> str:
         f"p: {model.p}",
         f"n_obs: {model.n_obs}",
         "variable_names: " + " ".join(model.variable_names),
-        "intercept: " + " ".join(_fmt(v) for v in model.intercept),
+        "intercept: " + " ".join(repr(float(v)) for v in model.intercept),
     ]
     for j, m in enumerate(model.phi, start=1):
         lines.append(f"phi_{j}: " + _fmt_matrix(m))
     lines.append("sigma: " + _fmt_matrix(model.sigma))
-    lines.append(f"spectral_radius: {_fmt(model.spectral_radius)}")
+    lines.append(f"spectral_radius: {model.spectral_radius!r}")
     lines.append(f"stable: {str(model.is_stable).lower()}")
     return "\n".join(lines) + "\n"
 

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from freqconn.cli import default_synth_model, main
-from freqconn.dynamics import bootstrap_bands, evaluate_measures, rolling_connectedness
+from freqconn.dynamics import (
+    bootstrap_bands,
+    evaluate_measures,
+    measure_ids,
+    rolling_connectedness,
+)
 from freqconn.freqdomain import (
     BandSpec,
     band_measures,
@@ -32,6 +37,7 @@ DATA = Path(__file__).parent / "data"
 H_TRUNC = 100
 N_FREQ = 512
 PAPER_BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
+TOTAL = measure_ids(("V1", "V2", "V3"), ()).index("total")
 
 
 def report(criterion, detail):
@@ -175,12 +181,12 @@ def test_criterion_05_flat_spectrum_proportionality():
 
 def test_criterion_06_estimation_recovery():
     truth_model = default_synth_model(3)  # k = 3, p = 2
-    truth_total = evaluate_measures(truth_model, (), H_TRUNC, N_FREQ)["total"]
+    truth_total = evaluate_measures(truth_model, (), H_TRUNC, N_FREQ)[TOTAL]
     start = time.perf_counter()
     panel = synth_var_panel(truth_model, 100_000, seed=606)
     fit = fit_var(panel, p=2)
     coef_err = max(float(np.abs(fit.phi[j] - truth_model.phi[j]).max()) for j in range(2))
-    fitted_total = evaluate_measures(fit, (), H_TRUNC, N_FREQ)["total"]
+    fitted_total = evaluate_measures(fit, (), H_TRUNC, N_FREQ)[TOTAL]
     total_err = abs(fitted_total - truth_total)
     elapsed = time.perf_counter() - start
     assert coef_err < 0.02
@@ -192,17 +198,16 @@ def test_criterion_06_estimation_recovery():
 
 def test_criterion_07_bootstrap_coverage():
     truth_model = default_synth_model(3)
-    truth_total = evaluate_measures(truth_model, (), H_TRUNC, N_FREQ)["total"]
+    truth_total = evaluate_measures(truth_model, (), H_TRUNC, N_FREQ)[TOTAL]
     n_trials, replications = 200, 300
     start = time.perf_counter()
     hits = 0
     for trial in range(n_trials):
         panel = synth_var_panel(truth_model, 500, seed=(7000, trial))
         fit = fit_var(panel, p=2)
-        bands = bootstrap_bands(fit, 500, replications=replications, significance=0.10,
-                                seed=(7001, trial), measure_subset=("total",))
-        lo, hi = bands["total"]
-        hits += lo <= truth_total <= hi
+        lo, hi = bootstrap_bands(fit, 500, replications=replications, significance=0.10,
+                                 seed=(7001, trial))
+        hits += lo[TOTAL] <= truth_total <= hi[TOTAL]
     elapsed = time.perf_counter() - start
     coverage = hits / n_trials
     assert coverage >= 0.80

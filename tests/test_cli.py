@@ -206,6 +206,23 @@ class TestRoll:
             snapshots.append(tree_bytes(out))
         assert snapshots[0] == snapshots[1]
 
+    def test_bootstrap_golden_file(self, tmp_path):
+        # committed output of this exact run; pins the bootstrap numbers, not
+        # only run-to-run determinism
+        run(["synth", "--k", "2", "--periods", "280", "--seed", "31", "--out", str(tmp_path)])
+        out = tmp_path / "roll"
+        assert run(["roll", str(tmp_path / "panel.csv"), "--window", "250", "--step", "10",
+                    "--bands", "1:5,5:inf", "--boot", "100", "--significance", "0.1",
+                    "--seed", "4", "--out", str(out)]) == 0
+        got = (out / "rolling.csv").read_text().splitlines()
+        want = (DATA / "rolling.csv").read_text().splitlines()
+        assert got[0] == want[0] and len(got) == len(want)
+        for g, w in zip(got[1:], want[1:]):
+            g, w = g.split(","), w.split(",")
+            assert g[:3] == w[:3]
+            for a, b in zip(g[3:], w[3:]):
+                assert a == b if "" in (a, b) else abs(float(a) - float(b)) <= 1e-12
+
     def test_ratios_and_trends_emitted(self, tmp_path):
         run(["synth", "--k", "2", "--periods", "700", "--seed", "23", "--out", str(tmp_path)])
         out = tmp_path / "roll"

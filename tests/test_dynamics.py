@@ -14,6 +14,7 @@ from freqconn.dynamics import (
     bootstrap_bands,
     evaluate_measures,
     linear_trend,
+    measure_ids,
     ratio_series,
     read_events_csv,
     rolling_connectedness,
@@ -28,6 +29,7 @@ from helpers import make_model
 
 BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
 SHORT, LONG = BANDS[0].label, BANDS[1].label
+TOTAL = measure_ids(("V1", "V2"), ()).index("total")
 
 
 def small_panel(n=700, seed=13):
@@ -41,7 +43,8 @@ class TestRollingConnectedness:
         rolled = rolling_connectedness(panel, p=1, window=300, bands=BANDS,
                                        h_trunc=100, n_freq=256)
         assert rolled.n_windows == 1
-        direct = evaluate_measures(fit_var(panel, 1), BANDS, 100, 256)
+        direct = dict(zip(measure_ids(panel.symbols, BANDS),
+                          evaluate_measures(fit_var(panel, 1), BANDS, 100, 256)))
         for mid, series in rolled.series.items():
             assert series.point[0] == direct[mid]
 
@@ -54,7 +57,7 @@ class TestRollingConnectedness:
 
     def test_stationary_panel_fluctuates_around_truth(self):
         model = make_model([[0.5, 0.2], [0.1, 0.5]], [[1.0, 0.4], [0.4, 1.0]])
-        truth = evaluate_measures(model, (), 100, 512)["total"]
+        truth = evaluate_measures(model, (), 100, 512)[TOTAL]
         panel = synth_var_panel(model, 5000, seed=101)
         rolled = rolling_connectedness(panel, p=1, window=500, step=500, bands=())
         vals = rolled.series["total"].point  # non-overlapping, near-independent
@@ -83,6 +86,13 @@ class TestRollingConnectedness:
         band_sum = sum(rolled.series[f"abs_total@{b.label}"].point for b in BANDS)
         assert np.abs(band_sum - total).max() < 1e-6
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bands", [(), BANDS])
+    def test_measure_vector_matches_ids(self, k, bands):
+        model = make_model(0.3 * np.eye(k), np.eye(k))
+        assert len(evaluate_measures(model, bands, 100, 256)) == len(
+            measure_ids(model.variable_names, bands))
+
     def test_window_longer_than_sample_rejected(self):
         _, panel = small_panel(n=100)
         with pytest.raises(DataError, match="window"):
@@ -93,36 +103,31 @@ class TestBootstrapBands:
     def test_point_estimate_inside_own_band(self):
         model, panel = small_panel(n=800)
         fit = fit_var(panel, 1)
-        point = evaluate_measures(fit, (), 100, 512)["total"]
-        bands = bootstrap_bands(fit, 800, replications=500, seed=31,
-                                measure_subset=("total",))
-        lo, hi = bands["total"]
-        assert lo < point < hi
+        point = evaluate_measures(fit, (), 100, 512)[TOTAL]
+        lo, hi = bootstrap_bands(fit, 800, replications=500, seed=31)
+        assert lo[TOTAL] < point < hi[TOTAL]
 
     def test_same_seed_identical(self):
         model, panel = small_panel(n=400)
         fit = fit_var(panel, 1)
-        a = bootstrap_bands(fit, 400, replications=120, seed=9, measure_subset=("total",))
-        b = bootstrap_bands(fit, 400, replications=120, seed=9, measure_subset=("total",))
-        assert a == b
+        a = bootstrap_bands(fit, 400, replications=120, seed=9)
+        b = bootstrap_bands(fit, 400, replications=120, seed=9)
+        assert np.array_equal(a, b)
 
     def test_bands_monotone_in_coverage(self):
         model, panel = small_panel(n=400)
         fit = fit_var(panel, 1)
-        narrow = bootstrap_bands(fit, 400, replications=150, significance=0.5,
-                                 seed=11, measure_subset=("total",))
-        wide = bootstrap_bands(fit, 400, replications=150, significance=0.1,
-                               seed=11, measure_subset=("total",))
-        assert wide["total"][0] <= narrow["total"][0]
-        assert narrow["total"][1] <= wide["total"][1]
+        narrow = bootstrap_bands(fit, 400, replications=150, significance=0.5, seed=11)
+        wide = bootstrap_bands(fit, 400, replications=150, significance=0.1, seed=11)
+        assert wide[0][TOTAL] <= narrow[0][TOTAL]
+        assert narrow[1][TOTAL] <= wide[1][TOTAL]
 
     def test_too_many_unstable_replicates_is_error(self):
         model = make_model(-0.9999 * np.eye(2), np.eye(2))  # barely stable
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericError, match="larger window"):
-                bootstrap_bands(model, 24, replications=100, seed=5,
-                                measure_subset=("total",))
+                bootstrap_bands(model, 24, replications=100, seed=5)
 
     def test_replication_floor(self):
         model, panel = small_panel(n=400)
@@ -158,7 +163,8 @@ class TestRatioSeries:
 
     def test_exact_proportionality_on_true_flat_model(self):
         model = make_model(np.zeros((2, 2)), [[1.0, 0.5], [0.5, 1.0]])
-        truth = evaluate_measures(model, BANDS, 100, 512)
+        truth = dict(zip(measure_ids(model.variable_names, BANDS),
+                         evaluate_measures(model, BANDS, 100, 512)))
         for base in ("within_total", "within_from.V1", "within_to.V2"):
             assert truth[f"{base}@{SHORT}"] == pytest.approx(
                 truth[f"{base}@{LONG}"], abs=1e-12)

@@ -16,6 +16,7 @@ from freqconn.ingest import (
     low_activity_rules,
     read_panel_csv,
     resample_grid,
+    simulate_var,
     summary_stats,
     synth_var_panel,
     write_panel_csv,
@@ -291,6 +292,14 @@ class TestSynthVarPanel:
         assert np.abs(gamma0 - truth).max() / np.abs(truth).max() < 0.02
         gamma1 = x[1:].T @ x[:-1] / (len(x) - 1)
         assert np.abs(gamma1 - phi1 @ truth).max() / np.abs(truth).max() < 0.02
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_batched_replicate_equals_single_seed_run(self, k):
+        model = make_model([0.4 * np.eye(k), 0.2 * np.eye(k)], 0.5 * np.eye(k) + 0.5)
+        batch = simulate_var(model, 300, [(7000, 3, r) for r in range(4)])
+        assert batch.shape == (4, 300, k)
+        for r in range(4):
+            assert np.array_equal(batch[r], simulate_var(model, 300, [(7000, 3, r)])[0])
 
     def test_unstable_generator_rejected(self):
         model = make_model(np.eye(2), np.eye(2))
