@@ -1,14 +1,14 @@
 """Frequency-band decomposition of the generalized variance decomposition and
 of every connectedness measure built on it.
 
-The spectral grid divides (0, pi] into ``n_freq`` equal cells; the stored
-tensor at grid frequency ``pi*m/n_freq`` is the exact average of the
-per-frequency decomposition over the cell ending there, computed in closed
-form from autocorrelations of the MA coefficient sequence. Cell averages
-rather than point evaluations make the discrete Parseval identity exact:
-the full-grid mean reproduces the time-domain sums to machine precision,
-so band measures over any partition of (0, pi] reconstruct the
-unconditional measures exactly instead of to O(1/n_freq).
+The spectral grid divides (0, pi] into ``n_freq`` equal cells and holds the
+decomposition as lag autocorrelations of the MA coefficient sequence. The
+cell average of their cosine series telescopes, so a band, a run of cells,
+integrates in closed form without visiting its cells. Cell averages rather
+than point evaluations make the discrete Parseval identity exact: the
+full-grid mean reproduces the time-domain sums to machine precision, so
+band measures over any partition of (0, pi] reconstruct the unconditional
+measures exactly instead of to O(1/n_freq).
 
 Standardization is global: band tables are normalized by the full-band row
 sums, which is what makes within-band tables additive across a partition
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .varcore import VarModel, WoldSequence, stability
 
 DEFAULT_N_FREQ = 512
 MIN_N_FREQ = 64
-NEGATIVE_CLIP_TOL = 1e-14  # relative to tensor scale
+NEGATIVE_CLIP_TOL = 1e-14  # relative to the scale of each integral
 
 
 @dataclass(frozen=True)
@@ -88,36 +87,74 @@ def is_partition(bands: tuple[BandSpec, ...] | list[BandSpec], tol: float = 1e-1
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Per-frequency unnormalized decomposition tensors on a uniform grid.
+    """Spectral decomposition on ``n_freq`` equal cells of (0, pi].
 
-    ``numerator[m, i, j]`` is ``sigma_jj**-1 |(Psi(e^{-iw}) Sigma)_{ij}|^2``
-    and ``denominator[m, i]`` the spectral-density diagonal, both averaged
-    exactly over the grid cell ending at ``frequencies[m]``.
+    ``numer_lags[g]`` and ``denom_lags[g]`` are the coefficients ``c_g`` of
+    the cosine series ``c_0 + sum_g 2 c_g cos(g w)`` of ``sigma_jj**-1
+    |(Psi(e^{-iw}) Sigma)_{ij}|^2`` and of the spectral-density diagonal.
+    :meth:`integrate` sums their cell averages over a band in closed form;
+    ``numerator`` and ``denominator`` are the same integral over each cell.
     """
 
-    frequencies: np.ndarray   # (n_freq,) right cell edges pi*m/n_freq
-    numerator: np.ndarray     # (n_freq, k, k)
-    denominator: np.ndarray   # (n_freq, k)
-    h_trunc: int
+    numer_lags: np.ndarray    # (H+1, k, k), already divided by sigma_jj
+    denom_lags: np.ndarray    # (H+1, k)
     n_freq: int
     variable_names: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("frequencies", "numerator", "denominator"):
+        for name in ("numer_lags", "denom_lags"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if (np.diff(self.frequencies) <= 0).any():
-            raise DataError("grid frequencies must be strictly increasing")
-        if self.numerator.min() < 0 or self.denominator.min() < 0:
-            raise NumericError("decomposition tensors must be nonnegative after clipping")
 
     @property
     def k(self) -> int:
-        return self.numerator.shape[1]
+        return self.numer_lags.shape[1]
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Right cell edges ``pi*m/n_freq``, m = 1..n_freq; the last is exactly pi."""
+        return np.pi * (np.arange(1, self.n_freq + 1) / self.n_freq)
+
+    @property
+    def numerator(self) -> np.ndarray:
+        """(n_freq, k, k) cell averages, built on each read."""
+        return self._integrals(np.arange(self.n_freq), np.arange(1, self.n_freq + 1))[0]
+
+    @property
+    def denominator(self) -> np.ndarray:
+        """(n_freq, k) cell averages, built on each read."""
+        return self._integrals(np.arange(self.n_freq), np.arange(1, self.n_freq + 1))[1]
 
     def band_mask(self, band: BandSpec) -> np.ndarray:
         return (self.frequencies > band.lower) & (self.frequencies <= band.upper)
+
+    def cells(self, band: BandSpec) -> np.ndarray:
+        """Indices of the band's cells, those whose right edge lies in (lower, upper]."""
+        cells = np.flatnonzero(self.band_mask(band))
+        if cells.size == 0:
+            raise UsageError(f"band {band.label} contains no grid points; increase n_freq "
+                             f"(currently {self.n_freq})")
+        return cells
+
+    def integrate(self, band: BandSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Numerator (k, k) and denominator (k,) summed over the band's cells."""
+        cells = self.cells(band)
+        return self._integrals(cells[0], cells[-1] + 1)
+
+    def _integrals(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Numerator and denominator summed over the cells from grid edge ``lo``
+        to ``hi`` (edge m at pi*m/n_freq), one run per entry of ``lo``. A run
+        (a, b] telescopes to ``n_cells c_0 + sum_g 2 (sin g b - sin g a) /
+        (g width) c_g``. Negatives beyond roundoff raise; smaller ones clip."""
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        g = np.arange(1, self.numer_lags.shape[0], dtype=float)
+        sin_b, sin_a = (np.sin(np.multiply.outer(np.pi * e / self.n_freq, g)) for e in (hi, lo))
+        weights = 2.0 * (sin_b - sin_a) / (g * (np.pi / self.n_freq))
+        numer, denom = (np.multiply.outer(hi - lo, lags[0]) + np.tensordot(weights, lags[1:], axes=1)
+                        for lags in (self.numer_lags, self.denom_lags))
+        return (_clip_negatives(numer, "spectral numerator"),
+                _clip_negatives(denom, "spectral denominator"))
 
 
 @dataclass(frozen=True)
@@ -168,30 +205,14 @@ def spectral_density(wold_seq: WoldSequence, sigma: np.ndarray, omega: float) ->
 # spectral decomposition grid
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _cell_kernel(h_trunc: int, n_freq: int) -> np.ndarray:
-    """K[g-1, m] = average of 2 cos(g w) over grid cell m, for g = 1..h_trunc.
-
-    Built from one shared sine table so that full-grid sums telescope to
-    ~machine zero, which is what makes the discrete Parseval identity exact.
-    """
-    edges = np.pi * np.arange(n_freq + 1) / n_freq
-    g = np.arange(1, h_trunc + 1, dtype=float)
-    sines = np.sin(np.outer(g, edges))
-    width = np.pi / n_freq
-    kernel = 2.0 * (sines[:, 1:] - sines[:, :-1]) / (g[:, None] * width)
-    kernel.setflags(write=False)
-    return kernel
-
-
-def _autocorr(x: np.ndarray, y: np.ndarray, lags: int) -> np.ndarray:
-    """c[g] = sum_h x[h] * y[h + g] along axis 0, for g = 0..lags, via FFT."""
+def _autocorr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c[g] = sum_h x[h] * y[h + g] along axis 0, for g = 0..n-1, via FFT."""
     n = x.shape[0]
     nfft = 1 << (2 * n - 1).bit_length()
     fx = np.fft.rfft(x, n=nfft, axis=0)
     fy = np.fft.rfft(y, n=nfft, axis=0)
     full = np.fft.irfft(fx.conj() * fy, n=nfft, axis=0)
-    return full[: lags + 1]
+    return full[:n]
 
 
 def _clip_negatives(arr: np.ndarray, what: str) -> np.ndarray:
@@ -210,11 +231,11 @@ def spectral_gfevd(
 ) -> SpectralGrid:
     """Decompose the generalized FEVD across a uniform frequency grid on (0, pi].
 
-    Writing ``B_h = psi_h Sigma``, the cell-averaged numerator for (i, j) is
-    the exact integral of ``sigma_jj**-1 |sum_h B_{h,ij} e^{-ihw}|^2`` over
-    each cell, evaluated through the lag autocorrelations of ``B``; the
-    denominator handles ``(Psi Sigma Psi*)_{ii}`` the same way. Averaging
-    the grid recovers the H-truncated time-domain sums exactly.
+    With ``B_h = psi_h Sigma``, the numerator ``sigma_jj**-1 |sum_h B_{h,ij}
+    e^{-ihw}|^2`` and the denominator ``(Psi Sigma Psi*)_{ii}`` are cosine
+    series whose coefficients are lag autocorrelations of ``B`` with ``B``
+    and with ``psi``, computed by FFT. The grid keeps those lags; averaging
+    the whole grid recovers the H-truncated time-domain sums exactly.
     """
     if n_freq < MIN_N_FREQ:
         raise UsageError(f"n_freq must be >= {MIN_N_FREQ}, got {n_freq}")
@@ -222,24 +243,14 @@ def spectral_gfevd(
     if not stable:
         raise NumericError(f"unstable VAR (spectral radius {radius:.6g}) has no spectral decomposition")
     psi = wold_seq.psi
-    h_trunc = wold_seq.truncation
     diag = np.diag(model.sigma)
     if (diag <= 0).any():
         raise NumericError("innovation covariance has a non-positive diagonal entry")
 
     b = psi @ model.sigma                       # (H+1, k, k)
-    c_num = _autocorr(b, b, h_trunc)            # (H+1, k, k)
-    c_den = _autocorr(b, psi, h_trunc).sum(axis=2)  # (H+1, k)
-
-    kernel = _cell_kernel(h_trunc, n_freq)      # (H, n_freq)
-    numer = c_num[0][None, :, :] + np.einsum("gm,gij->mij", kernel, c_num[1:])
-    denom = c_den[0][None, :] + np.einsum("gm,gi->mi", kernel, c_den[1:])
-    numer = _clip_negatives(numer / diag[None, None, :], "spectral numerator")
-    denom = _clip_negatives(denom, "spectral denominator")
-
-    freqs = np.pi * (np.arange(1, n_freq + 1) / n_freq)  # last point exactly pi
-    return SpectralGrid(frequencies=freqs, numerator=numer, denominator=denom,
-                        h_trunc=h_trunc, n_freq=n_freq,
+    numer_lags = _autocorr(b, b) / diag[None, None, :]
+    denom_lags = _autocorr(b, psi).sum(axis=2)
+    return SpectralGrid(numer_lags=numer_lags, denom_lags=denom_lags, n_freq=n_freq,
                         variable_names=model.variable_names)
 
 
@@ -247,38 +258,28 @@ def spectral_gfevd(
 # band aggregation
 # ---------------------------------------------------------------------------
 
-def _band_sums(grid: SpectralGrid, band: BandSpec) -> np.ndarray:
-    mask = grid.band_mask(band)
-    if not mask.any():
-        raise UsageError(
-            f"band {band.label} contains no grid points; increase n_freq "
-            f"(currently {grid.n_freq})"
-        )
-    return grid.numerator[mask].sum(axis=0)
-
-
 def band_table(grid: SpectralGrid, band: BandSpec) -> tuple[np.ndarray, np.ndarray]:
     """Within-band decomposition table, unstandardized and standardized.
 
     The unstandardized table integrates the band numerator against the
     full-band forecast-error variance; standardization divides row i by the
     i-th row sum of the full-band unstandardized table, so band tables are
-    additive across a partition and the full band has unit row sums.
+    additive across a partition and the full band has unit row sums. A row
+    with no full-band mass standardizes to zeros.
     """
-    band_num = _band_sums(grid, band)
-    denom_full = grid.denominator.sum(axis=0)
+    band_num, _ = grid.integrate(band)
+    numer_full, denom_full = grid.integrate(BandSpec(0.0, math.pi))
     if (denom_full <= 0).any():
         raise NumericError("zero full-band forecast-error variance")
     unstd = band_num / denom_full[:, None]
-    row_full = grid.numerator.sum(axis=0).sum(axis=1) / denom_full
-    std = unstd / row_full[:, None]
+    row_full = (numer_full.sum(axis=1) / denom_full)[:, None]
+    std = np.divide(unstd, row_full, out=np.zeros_like(unstd), where=row_full != 0)
     return unstd, std
 
 
 def unconditional_table(grid: SpectralGrid) -> ConnectednessTable:
     """Full-band table (0, pi]; equals the H-truncated time-domain GFEVD."""
-    full = BandSpec(0.0, math.pi, label="full")
-    unstd, std = band_table(grid, full)
+    unstd, std = band_table(grid, BandSpec(0.0, math.pi))
     return ConnectednessTable(theta=std, raw=unstd, horizon_tag="unconditional",
                               variable_names=grid.variable_names)
 
@@ -287,14 +288,12 @@ def per_frequency_table(grid: SpectralGrid, band: BandSpec) -> np.ndarray:
     """Diagnostic: literal per-frequency row normalization, averaged over the
     band's share of the grid. Not additive in a reconstruction-compatible
     way; kept for comparison with the global standardization."""
-    mask = grid.band_mask(band)
-    if not mask.any():
-        raise UsageError(f"band {band.label} contains no grid points")
-    cells = grid.numerator[mask]
-    rows = cells.sum(axis=2, keepdims=True)
+    cells = grid.cells(band)
+    numer, _ = grid._integrals(cells, cells + 1)
+    rows = numer.sum(axis=2, keepdims=True)
     if (rows <= 0).any():
         raise NumericError("zero row in per-frequency table")
-    return (cells / rows).sum(axis=0) / grid.n_freq
+    return (numer / rows).sum(axis=0) / grid.n_freq
 
 
 def band_measures(grid: SpectralGrid, band: BandSpec) -> BandMeasures:

@@ -22,7 +22,7 @@ from freqconn.dynamics import (
     rolling_meta_text,
 )
 from freqconn.errors import DataError, NumericError, UsageError
-from freqconn.freqdomain import days_to_band
+from freqconn.freqdomain import SpectralGrid, days_to_band
 from freqconn.ingest import VolatilityPanel, synth_var_panel
 from freqconn.varcore import fit_var
 from helpers import make_model
@@ -143,6 +143,23 @@ class TestBootstrapBands:
         s = rolled.series["total"]
         assert np.isfinite(s.lower).all() and np.isfinite(s.upper).all()
         assert (s.lower <= s.point).all() and (s.point <= s.upper).all()
+
+
+class TestMeasurePath:
+    def test_builds_no_per_cell_arrays(self, monkeypatch):
+        def per_cell(self):
+            raise AssertionError("per-cell spectral array built on the measure path")
+
+        monkeypatch.setattr(SpectralGrid, "numerator", property(per_cell))
+        monkeypatch.setattr(SpectralGrid, "denominator", property(per_cell))
+        bands = tuple(days_to_band(a, b) for a, b in [(1, 5), (5, 20), (20, 60), (60, math.inf)])
+        _, panel = small_panel(n=560)
+        fit = fit_var(panel, 1)
+        assert np.isfinite(evaluate_measures(fit, bands, 100, 512)).all()
+        rolled = rolling_connectedness(panel, p=1, window=500, step=30, bands=bands)
+        assert rolled.n_windows == 3 and not rolled.gaps
+        lo, hi = bootstrap_bands(fit, 500, bands=bands, replications=100, seed=2)
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
 
 
 class TestRatioSeries:

@@ -297,20 +297,61 @@ class TestBandMeasures:
 
 class TestDegenerateBand:
     def test_zero_band_mass_yields_markers(self):
-        # hand-built grid whose upper half carries no variance at all
-        n, k = 64, 2
-        freqs = np.pi * (np.arange(1, n + 1) / n)
-        numer = np.zeros((n, k, k))
-        numer[: n // 2] = np.eye(k)
-        denom = np.full((n, k), 1.0)
-        grid = SpectralGrid(frequencies=freqs, numerator=numer, denominator=denom,
-                            h_trunc=10, n_freq=n, variable_names=("A", "B"))
+        # hand-built grid whose numerator carries no variance at all
+        lags, k = 11, 2
+        denom = np.repeat(0.5 ** np.arange(lags)[:, None], k, axis=1)
+        grid = SpectralGrid(numer_lags=np.zeros((lags, k, k)), denom_lags=denom,
+                            n_freq=64, variable_names=("A", "B"))
         bm = band_measures(grid, BandSpec(math.pi / 2, math.pi))
         assert bm.gamma == 0.0
         assert math.isnan(bm.within_total)
         assert np.isnan(bm.within_table).all()
         assert bm.absolute_total == 0.0
         assert np.abs(bm.absolute_from).max() == 0.0
+
+    def test_negative_band_integral_raises(self):
+        # numerator series 1 + 1.6 cos(w) integrates to about -0.59 over
+        # (pi/2, pi], far below the roundoff tolerance
+        numer = np.stack([np.eye(2), 0.8 * np.eye(2)])
+        denom = np.array([[1.0, 1.0], [0.0, 0.0]])
+        grid = SpectralGrid(numer_lags=numer, denom_lags=denom, n_freq=64,
+                            variable_names=("A", "B"))
+        band_measures(grid, BandSpec(0.0, math.pi / 2))
+        with pytest.raises(NumericError, match="spectral numerator has negative entry"):
+            band_measures(grid, BandSpec(math.pi / 2, math.pi))
+
+
+class TestClosedFormIntegral:
+    """Band integrals against sums of per-cell averages on persistent VARs."""
+
+    FLEET = [random_stable_var(k, p, seed=800 + 10 * k + p, target_radius=radius)
+             for k, p, radius in [(2, 1, 0.99), (2, 2, 0.97), (3, 1, 0.98),
+                                  (3, 2, 0.99), (8, 1, 0.97), (8, 2, 0.98)]]
+    PARTITIONS = {"1:5,5:inf": [(1, 5), (5, math.inf)],
+                  "1:5,5:20,20:60,60:inf": [(1, 5), (5, 20), (20, 60), (60, math.inf)]}
+
+    @staticmethod
+    def rel(x, ref):
+        return np.abs(x - ref).max() / np.abs(ref).max()
+
+    # pi/5 is a cell edge at 640 cells but not at 512
+    @pytest.mark.parametrize("n_freq", [512, 640])
+    @pytest.mark.parametrize("partition", list(PARTITIONS))
+    def test_band_integrals_match_cell_sums(self, n_freq, partition):
+        bands = [days_to_band(a, b) for a, b in self.PARTITIONS[partition]]
+        for model in self.FLEET:
+            grid = spectral_gfevd(model, wold(model, 100), n_freq)
+            numer, denom = grid.numerator, grid.denominator
+            full_num, full_den = grid.integrate(BandSpec(0.0, math.pi))
+            sum_num, sum_den = 0.0, 0.0
+            for band in bands:
+                mask = grid.band_mask(band)
+                band_num, band_den = grid.integrate(band)
+                assert self.rel(band_num, numer[mask].sum(axis=0)) < 1e-12
+                assert self.rel(band_den, denom[mask].sum(axis=0)) < 1e-12
+                sum_num, sum_den = sum_num + band_num, sum_den + band_den
+            assert self.rel(sum_num, full_num) < 1e-12
+            assert self.rel(sum_den, full_den) < 1e-12
 
 
 class TestPerFrequencyDiagnostic:
