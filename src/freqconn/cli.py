@@ -242,9 +242,15 @@ def cmd_rv(args: argparse.Namespace) -> int:
             grids = ingest.resample_grid(kept, spacing=spacing, session=session)
             daily = [(g.trading_day, ingest.bipower_variation(g)) for g in grids]
             log.info("rv_days symbol=%s days=%d", symbol, len(daily))
-            per_symbol[symbol] = daily
             lines = ["date,bpv"] + [f"{d.isoformat()},{float(v)!r}" for d, v in daily]
             (out / f"rv_{symbol}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if cfg["transform"] != "raw":  # log and sqrt need BPV > 0
+                for d, v in daily:
+                    if v <= 0:
+                        log.warning("day_dropped symbol=%s date=%s reason=non_positive_bpv",
+                                    symbol, d)
+                daily = [(d, v) for d, v in daily if v > 0]
+            per_symbol[symbol] = daily
         if len(per_symbol) >= 2:
             panel = ingest.build_panel(per_symbol, transform=str(cfg["transform"]))
             ingest.write_panel_csv(panel, out / "panel.csv")

@@ -26,7 +26,7 @@ from .errors import DataError, NumericError, UsageError
 from .freqdomain import BandSpec, band_measures, spectral_gfevd
 from .ingest import VolatilityPanel, simulate_var
 from .timedomain import dy_measures, gfevd
-from .varcore import VarModel, fit_var_values, stability, wold
+from .varcore import VarModel, fit_var_values, wold
 
 log = logging.getLogger(__name__)
 
@@ -177,6 +177,24 @@ def evaluate_measures(
     return np.concatenate(parts)
 
 
+def _fit_screen_measure(values: np.ndarray, p: int, include_intercept: bool,
+                        names: Sequence[str], bands: Sequence[BandSpec], h_trunc: int,
+                        n_freq: int) -> tuple[VarModel, np.ndarray]:
+    """Fit, screen and measure one (T, k) rolling window or bootstrap replicate.
+    Numeric failures raise NumericError led by a reason code (``fit_failed``,
+    ``unstable``, ``measure_failed``); other measure errors pass through."""
+    try:
+        model = fit_var_values(values, p, include_intercept, names)
+    except (DataError, NumericError) as exc:
+        raise NumericError(f"fit_failed: {exc}") from exc
+    if not model.is_stable:
+        raise NumericError(f"unstable: spectral radius {model.spectral_radius:.6g}")
+    try:
+        return model, evaluate_measures(model, bands, h_trunc, n_freq)
+    except NumericError as exc:
+        raise NumericError(f"measure_failed: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # rolling estimation
 # ---------------------------------------------------------------------------
@@ -194,12 +212,13 @@ def rolling_connectedness(
 ) -> RollingResult:
     """Re-estimate the VAR on a sliding window and evaluate every measure.
 
-    Windows whose fit fails or is unstable become gaps (NaN with a reason
-    code), never silent drops. With ``bootstrap`` set, each window also gets
-    parametric-bootstrap quantile bands widened, if needed, to include the
-    point estimate.
+    A failing window never aborts the roll: it becomes a gap (NaN) whose
+    reason starts with ``fit_failed``, ``unstable``, ``measure_failed`` or
+    ``bootstrap_failed`` and is logged once as a ``window_gap`` line. With
+    ``bootstrap`` set, each window also gets parametric-bootstrap quantile
+    bands widened, if needed, to include the point estimate.
     """
-    t_total, k = panel.shape
+    t_total = panel.shape[0]
     if window > t_total:
         raise DataError(f"window {window} exceeds sample length {t_total}")
     if step < 1:
@@ -211,36 +230,28 @@ def rolling_connectedness(
     lowers = points.copy()
     uppers = points.copy()
     gaps: list[tuple[dt.date, str]] = []
-    n_valid = 0
 
     for w_idx, start in enumerate(starts):
-        values = panel.values[start:start + window]
         try:
-            model = fit_var_values(values, p, include_intercept, panel.symbols)
-        except (DataError, NumericError) as exc:
-            gaps.append((anchors[w_idx], f"fit_failed: {exc}"))
-            log.warning("window_gap anchor=%s reason=fit_failed", anchors[w_idx])
+            model, point = _fit_screen_measure(
+                panel.values[start:start + window], p, include_intercept, panel.symbols,
+                bands, h_trunc, n_freq)
+            if bootstrap is not None:
+                try:
+                    lowers[w_idx], uppers[w_idx] = bootstrap_bands(
+                        model, window, bands=bands, h_trunc=h_trunc, n_freq=n_freq,
+                        replications=bootstrap.replications, significance=bootstrap.significance,
+                        seed=(bootstrap.seed, w_idx), include_intercept=include_intercept)
+                except NumericError as exc:
+                    raise NumericError(f"bootstrap_failed: {exc}") from exc
+        except NumericError as exc:
+            gaps.append((anchors[w_idx], str(exc)))
+            log.warning("window_gap anchor=%s reason=%s", anchors[w_idx], exc)
             continue
-        stable, radius = stability(model)
-        if not stable:
-            gaps.append((anchors[w_idx], f"unstable: spectral radius {radius:.6g}"))
-            log.warning("window_gap anchor=%s reason=unstable radius=%.6g",
-                        anchors[w_idx], radius)
-            continue
-        points[w_idx] = evaluate_measures(model, bands, h_trunc, n_freq)
-        n_valid += 1
-        if bootstrap is not None:
-            lowers[w_idx], uppers[w_idx] = bootstrap_bands(
-                model, window,
-                bands=bands, h_trunc=h_trunc, n_freq=n_freq,
-                replications=bootstrap.replications,
-                significance=bootstrap.significance,
-                seed=(bootstrap.seed, w_idx),
-                include_intercept=include_intercept,
-            )
+        points[w_idx] = point
 
-    if n_valid == 0:
-        raise NumericError("no valid windows: every fit failed or was unstable")
+    if len(gaps) == len(anchors):
+        raise NumericError("no valid windows: every window is a gap")
     # Widen each band to hold its finite point estimate. A tie keeps the
     # bootstrap bound, so a +0.0/-0.0 pair keeps the bound's sign, which
     # np.minimum/np.maximum would not.
@@ -278,13 +289,12 @@ def bootstrap_bands(
     (significance/2, 1 - significance/2) quantiles of each measure, as
     vectors in :func:`measure_ids` order. Non-finite replicate values are
     left out of the quantiles; a measure with none finite gets NaN bounds.
-    Replicates whose re-fit is unstable are skipped; more than 20% skipped
-    is an error.
+    A replicate whose fit, stability screen or measure step fails is
+    skipped; more than 20% skipped is an error.
     """
     BootstrapSpec(replications, significance)
-    stable, radius = stability(model)
-    if not stable:
-        raise NumericError(f"cannot bootstrap an unstable model (radius {radius:.6g})")
+    if not model.is_stable:
+        raise NumericError(f"cannot bootstrap an unstable model (radius {model.spectral_radius:.6g})")
 
     seed_parts = seed if isinstance(seed, tuple) else tuple(np.atleast_1d(seed).tolist())
     panels = simulate_var(model, window, [(*seed_parts, rep) for rep in range(replications)])
@@ -292,17 +302,12 @@ def bootstrap_bands(
     n_bad = 0
     for rep, values in enumerate(panels):
         try:
-            refit = fit_var_values(values, model.p, include_intercept, model.variable_names)
-            if not refit.is_stable:
-                raise NumericError("unstable replicate")
-            samples[rep] = evaluate_measures(refit, bands, h_trunc, n_freq)
-        except (DataError, NumericError):
+            _, samples[rep] = _fit_screen_measure(
+                values, model.p, include_intercept, model.variable_names, bands, h_trunc, n_freq)
+        except NumericError:
             n_bad += 1
     if n_bad > 0.2 * replications:
-        raise NumericError(
-            f"{n_bad}/{replications} bootstrap replicates were unstable; "
-            "use a larger window"
-        )
+        raise NumericError(f"{n_bad}/{replications} bootstrap replicates failed; use a larger window")
     samples[~np.isfinite(samples)] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN column -> NaN bounds

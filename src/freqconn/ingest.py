@@ -245,10 +245,9 @@ def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
 
 def filter_calendar(ticks: TickSeries, rules: CalendarRules) -> TickSeries:
     """Drop every observation falling on an excluded date; order preserved."""
-    days = ticks.timestamps.astype("datetime64[D]")
-    uniq = np.unique(days)
-    keep_day = {d: not rules.excludes(d.astype(object)) for d in uniq}
-    mask = np.array([keep_day[d] for d in days])
+    uniq, day_of_tick = np.unique(ticks.timestamps.astype("datetime64[D]"), return_inverse=True)
+    keep_day = np.array([not rules.excludes(d) for d in uniq.astype(object)], dtype=bool)
+    mask = keep_day[day_of_tick]
     if mask.all():
         return ticks
     if not mask.any():
@@ -284,12 +283,12 @@ def resample_grid(
         raise UsageError("grid spacing must divide the session length")
 
     offsets = np.arange(start_s, end_s + 1, step).astype("timedelta64[s]")
-    days = ticks.timestamps.astype("datetime64[D]")
+    # timestamps are strictly increasing, so each day is one contiguous run
+    days, first = np.unique(ticks.timestamps.astype("datetime64[D]"), return_index=True)
     out: list[ReturnGrid] = []
-    for day in np.unique(days):
-        sel = days == day
-        ts = ticks.timestamps[sel].astype("datetime64[us]")
-        px = ticks.prices[sel]
+    for day, lo, hi in zip(days, first, [*first[1:], len(ticks)]):
+        ts = ticks.timestamps[lo:hi]
+        px = ticks.prices[lo:hi]
         grid = (day.astype("datetime64[s]") + offsets).astype("datetime64[us]")
         idx = np.searchsorted(ts, grid, side="right") - 1
         priced = idx >= 0
@@ -392,11 +391,8 @@ def synth_var_panel(
     Deterministic given ``seed``; a burn-in of ``max(1000, 10 p)`` draws is
     discarded. Dates are consecutive calendar days from ``start_date``.
     """
-    from .varcore import stability  # local import to avoid a module cycle
-
-    stable, radius = stability(model)
-    if not stable:
-        raise NumericError(f"generator VAR is unstable (spectral radius {radius:.6g})")
+    if not model.is_stable:
+        raise NumericError(f"generator VAR is unstable (spectral radius {model.spectral_radius:.6g})")
     values = simulate_var(model, n_periods, [seed])[0]
     dates = tuple(start_date + dt.timedelta(days=i) for i in range(n_periods))
     return VolatilityPanel(dates, model.variable_names, values, transform_tag=transform_tag)

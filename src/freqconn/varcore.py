@@ -146,10 +146,9 @@ def fit_var_values(
 
 
 def stability(model: VarModel) -> tuple[bool, float]:
-    """Companion-matrix spectral radius and the stability predicate
-    ``radius < 1 - 1e-8``."""
-    radius = model.spectral_radius
-    return radius < 1.0 - STABILITY_EPS, radius
+    """``(model.is_stable, model.spectral_radius)``: the stability predicate
+    and the companion-matrix spectral radius."""
+    return model.is_stable, model.spectral_radius
 
 
 def wold(model: VarModel, h_trunc: int = DEFAULT_TRUNCATION) -> WoldSequence:

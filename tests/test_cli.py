@@ -75,6 +75,22 @@ class TestRv:
                   for line in (out / "rv_FLAT.csv").read_text().splitlines()[1:]]
         assert values == [0.0, 0.0]
 
+    def test_zero_bpv_day_left_out_of_panel(self, tmp_path):
+        # two ticks 12 minutes apart give no two adjacent non-zero returns
+        co = (DATA / "ticks_CO.csv").read_text().splitlines()
+        rows = ["timestamp,price", "2001-03-05T09:00:00+00:00,25.0",
+                "2001-03-05T09:12:00+00:00,25.1"]
+        rows += [line for line in co[1:] if not line.startswith("2001-03-05")]
+        src = tmp_path / "C.csv"
+        src.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert run(["rv", str(src), TICKS[1], "--out", str(out)]) == 0
+        assert "2001-03-05,0.0" in (out / "rv_C.csv").read_text().splitlines()
+        assert "day_dropped symbol=C date=2001-03-05 reason=non_positive_bpv" in (
+            out / "run.log").read_text().splitlines()
+        dates = [line.split(",")[0] for line in (out / "panel.csv").read_text().splitlines()[1:]]
+        assert "2001-03-05" not in dates and len(dates) == 4
+
     def test_summary_stats_table_layout(self, tmp_path):
         run(["rv", *TICKS, "--symbols", "CO,HO", "--out", str(tmp_path)])
         lines = (tmp_path / "summary_stats.csv").read_text().splitlines()

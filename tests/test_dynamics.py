@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from freqconn import dynamics
 from freqconn.dynamics import (
     BootstrapSpec,
     EventGrid,
@@ -24,7 +25,7 @@ from freqconn.dynamics import (
 from freqconn.errors import DataError, NumericError, UsageError
 from freqconn.freqdomain import SpectralGrid, days_to_band
 from freqconn.ingest import VolatilityPanel, synth_var_panel
-from freqconn.varcore import fit_var
+from freqconn.varcore import fit_var, fit_var_values
 from helpers import make_model
 
 BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
@@ -143,6 +144,100 @@ class TestBootstrapBands:
         s = rolled.series["total"]
         assert np.isfinite(s.lower).all() and np.isfinite(s.upper).all()
         assert (s.lower <= s.point).all() and (s.point <= s.upper).all()
+
+
+class TestGapPolicy:
+    """Fault injection: ordinary near-unit-root panels do not trigger these
+    failures, so a chosen window or replicate is made to fail."""
+
+    ROLL = dict(p=1, window=500, step=20, bands=BANDS, n_freq=256,
+                bootstrap=BootstrapSpec(replications=100, seed=3))
+
+    def _roll_with_fault(self, monkeypatch, name, fail_if):
+        """A clean roll, then the same roll with ``dynamics.<name>`` raising
+        NumericError("injected") whenever ``fail_if(*args, **kwargs)``."""
+        _, panel = small_panel(n=560)
+        clean = rolling_connectedness(panel, **self.ROLL)
+        real = getattr(dynamics, name)
+
+        def faulty(*args, **kwargs):
+            if fail_if(*args, **kwargs):
+                raise NumericError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, faulty)
+        return clean, rolling_connectedness(panel, **self.ROLL)
+
+    @staticmethod
+    def _assert_only_row_is_gap(faulted, clean, w_idx):
+        assert faulted.anchor_dates == clean.anchor_dates
+        others = np.arange(clean.n_windows) != w_idx
+        for mid, s in clean.series.items():
+            f = faulted.series[mid]
+            for field in ("point", "lower", "upper"):
+                assert np.array_equal(getattr(f, field)[others], getattr(s, field)[others],
+                                      equal_nan=True), (mid, field)
+                assert np.isnan(getattr(f, field)[w_idx]), (mid, field)
+
+    def test_measure_failure_becomes_gap(self, monkeypatch, caplog):
+        _, panel = small_panel(n=560)
+        target = fit_var_values(panel.values[20:520], 1).phi[0]  # window 1
+        with caplog.at_level("WARNING", logger="freqconn.dynamics"):
+            clean, faulted = self._roll_with_fault(
+                monkeypatch, "evaluate_measures",
+                lambda model, *a: np.array_equal(model.phi[0], target))
+        anchor = clean.anchor_dates[1]
+        assert faulted.gaps == ((anchor, "measure_failed: injected"),)
+        assert [r.getMessage() for r in caplog.records if "window_gap" in r.getMessage()] == [
+            f"window_gap anchor={anchor} reason=measure_failed: injected"]
+        self._assert_only_row_is_gap(faulted, clean, 1)
+
+    def test_bootstrap_failure_becomes_gap(self, monkeypatch):
+        clean, faulted = self._roll_with_fault(
+            monkeypatch, "bootstrap_bands", lambda *a, seed, **kw: seed == (3, 2))
+        assert faulted.gaps == ((clean.anchor_dates[2], "bootstrap_failed: injected"),)
+        self._assert_only_row_is_gap(faulted, clean, 2)
+
+    def test_configuration_error_still_aborts(self, monkeypatch):
+        def broken(*args):
+            raise DataError("h_trunc must be >= 1")
+
+        monkeypatch.setattr(dynamics, "evaluate_measures", broken)
+        _, panel = small_panel(n=560)
+        with pytest.raises(DataError, match="h_trunc"):
+            rolling_connectedness(panel, p=1, window=500, step=20)
+
+    def test_failed_replicates_are_skipped_and_counted(self, monkeypatch):
+        _, panel = small_panel(n=400)
+        fit = fit_var(panel, 1)
+        real = dynamics.evaluate_measures
+        rows = []
+
+        def spy(*args):
+            rows.append(real(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(dynamics, "evaluate_measures", spy)
+        bootstrap_bands(fit, 400, replications=100, seed=9)
+        assert len(rows) == 100
+
+        def fail_calls(n_fail):
+            calls = iter(range(100))
+
+            def faulty(*args):
+                if next(calls) < n_fail:
+                    raise NumericError("injected")
+                return real(*args)
+            return faulty
+
+        monkeypatch.setattr(dynamics, "evaluate_measures", fail_calls(20))
+        lo, hi = bootstrap_bands(fit, 400, replications=100, seed=9)
+        want = np.quantile(np.array(rows[20:]), [0.05, 0.95], axis=0)
+        assert np.array_equal(lo, want[0]) and np.array_equal(hi, want[1])
+
+        monkeypatch.setattr(dynamics, "evaluate_measures", fail_calls(21))
+        with pytest.raises(NumericError, match="21/100 bootstrap replicates failed"):
+            bootstrap_bands(fit, 400, replications=100, seed=9)
 
 
 class TestMeasurePath:
