@@ -23,42 +23,72 @@ import logging
 import math
 import os
 import sys
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, freqdomain, ingest, timedomain, varcore
+from .dynamics import DEFAULT_SIGNIFICANCE, DEFAULT_WINDOW
 from .errors import DataError, NumericError, UsageError
+from .freqdomain import DEFAULT_N_FREQ, MIN_N_FREQ
+from .varcore import DEFAULT_TRUNCATION
 
 log = logging.getLogger("freqconn.cli")  # stable name even under python -m
 
 ENV_OUT_DIR = "FREQCONN_OUT"
 
-DEFAULTS: dict[str, object] = {
-    "lags": 2,            # VAR(2) with a constant
-    "window": 500,        # rolling window length
-    "step": 1,
-    "htrunc": 100,
-    "nfreq": 512,
-    "bands": "1:5,5:inf",
-    "boot": 0,
-    "significance": 0.10,
-    "seed": 0,
-    "transform": "log",
-    "spacing": 5,         # minutes
-    "session": "00:00-24:00",
-    "k": 3,
-    "periods": 1000,
-}
-
-_INT_KEYS = {"lags", "window", "step", "htrunc", "nfreq", "boot", "seed", "spacing",
-             "k", "periods"}
-_FLOAT_KEYS = {"significance"}
-
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Option:
+    """A flag on each subcommand in ``commands`` and, unless a switch (``type``
+    bool), a config key that every command resolves and echoes."""
+
+    commands: str
+    help: str
+    type: type = str
+    default: object = None        # None: resolved and echoed only when given
+    check: tuple | None = None    # (predicate, requirement) on the resolved value
+    choices: tuple | None = None
+
+
+def _at_least(n):
+    return (lambda v: v >= n), f">= {n}"
+
+
+_OPTIONS = {
+    "lags": _Option("fit connect roll synth", "VAR lag order", int, 2, _at_least(1)),
+    "window": _Option("roll", "rolling window length", int, DEFAULT_WINDOW, _at_least(2)),
+    "step": _Option("roll", "rolling step", int, 1, _at_least(1)),
+    "bands": _Option("connect roll synth", "short:long day bands", str, "1:5,5:inf"),
+    "htrunc": _Option("connect roll synth", "MA truncation horizon", int, DEFAULT_TRUNCATION,
+                      _at_least(1)),
+    "nfreq": _Option("connect roll synth", "frequency grid size", int, DEFAULT_N_FREQ,
+                     _at_least(MIN_N_FREQ)),
+    "boot": _Option("roll", "bootstrap replications, 0 = off", int, 0, _at_least(0)),
+    "significance": _Option("roll", "two-sided bootstrap band significance", float,
+                            DEFAULT_SIGNIFICANCE, ((lambda v: 0.0 < v < 1.0), "in (0, 1)")),
+    "seed": _Option("roll synth", "random seed", int, 0),
+    "events": _Option("roll", "events CSV (date,label) for annotation"),
+    "transform": _Option("rv fit connect roll synth", "volatility transform", str, "log",
+                         choices=ingest.TRANSFORMS),
+    "no_intercept": _Option("fit connect roll", "drop the VAR constant term", bool),
+    "ratios": _Option("roll", "emit short/long ratio series and trend fits (needs 2 bands)", bool),
+    "symbols": _Option("rv", "comma-separated symbols (default: file stems)"),
+    "spacing": _Option("rv", "grid spacing in minutes", int, 5, _at_least(1)),
+    "session": _Option("rv", "trading session HH:MM-HH:MM", str, "00:00-24:00"),
+    "holidays": _Option("rv", "file of ISO dates to exclude, one per line"),
+    "k": _Option("synth", "number of variables", int, 3, _at_least(2)),
+    "periods": _Option("synth", "panel length", int, 1000, _at_least(2)),
+    "model": _Option("synth", "VAR model text file to simulate instead of the default"),
+}
+_CONFIG_KEYS = ("out", *(key for key, opt in _OPTIONS.items() if opt.type is not bool))
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with status 2
@@ -74,62 +104,35 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         raise UsageError(f"config file {path!r} not found or unreadable")
     if not parser.has_section("freqconn"):
         raise UsageError(f"config file {path!r} lacks a [freqconn] section")
-    return dict(parser.items("freqconn"))
-
-
-def _coerce(key: str, value):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"config key {key!r} has non-numeric value {value!r}") from None
-    return value
+    items = dict(parser.items("freqconn"))
+    unknown = sorted(set(items) - set(_CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"config file {path!r} has unknown key(s) "
+                         f"{', '.join(map(repr, unknown))}")
+    return items
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    """flags > config file > defaults; also applies the output-dir env var."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    resolved: dict[str, object] = {}
-    for key, default in DEFAULTS.items():
+    """flags > config file > defaults for every config key, checked against
+    the option table; also applies the output-dir env var."""
+    file_cfg = _load_config_file(args.config)
+    out = args.out or file_cfg.get("out") or os.environ.get(ENV_OUT_DIR)
+    resolved: dict[str, object] = {"out": out or "freqconn-out"}
+    for key, opt in _OPTIONS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = _coerce(key, flag)
-        elif key in file_cfg:
-            resolved[key] = _coerce(key, file_cfg[key])
-        else:
-            resolved[key] = default
-    out = getattr(args, "out", None) or file_cfg.get("out") or os.environ.get(ENV_OUT_DIR)
-    resolved["out"] = out or "freqconn-out"
-    for key in ("events", "model", "symbols", "holidays"):
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key)
-        if value is not None:
-            resolved[key] = value
-    _validate_ranges(resolved)
+        value = file_cfg.get(key, opt.default) if flag is None else flag
+        if opt.type is bool or value is None:  # switches are flags only
+            continue
+        try:
+            value = opt.type(value)
+        except ValueError:
+            raise UsageError(f"config key {key!r} has non-numeric value {value!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{key} must be one of {opt.choices}")
+        if opt.check and not opt.check[0](value):
+            raise UsageError(f"{key} must be {opt.check[1]}, got {value}")
+        resolved[key] = value
     return resolved
-
-
-def _validate_ranges(cfg: dict[str, object]) -> None:
-    checks = (
-        ("lags", cfg["lags"] >= 1, ">= 1"),
-        ("window", cfg["window"] >= 2, ">= 2"),
-        ("step", cfg["step"] >= 1, ">= 1"),
-        ("htrunc", cfg["htrunc"] >= 1, ">= 1"),
-        ("nfreq", cfg["nfreq"] >= freqdomain.MIN_N_FREQ, f">= {freqdomain.MIN_N_FREQ}"),
-        ("boot", cfg["boot"] >= 0, ">= 0"),
-        ("significance", 0.0 < cfg["significance"] < 1.0, "in (0, 1)"),
-        ("spacing", cfg["spacing"] >= 1, ">= 1"),
-        ("k", cfg["k"] >= 2, ">= 2"),
-        ("periods", cfg["periods"] >= 2, ">= 2"),
-    )
-    for key, ok, requirement in checks:
-        if not ok:
-            raise UsageError(f"{key} must be {requirement}, got {cfg[key]}")
-    if cfg["transform"] not in ingest.TRANSFORMS:
-        raise UsageError(f"transform must be one of {ingest.TRANSFORMS}")
 
 
 def parse_band_string(text: str) -> list[freqdomain.BandSpec]:
@@ -181,22 +184,28 @@ def _write_config_echo(cfg: dict[str, object], out: Path, command: str, inputs: 
 
 
 class _RunLog:
-    """Collects structured one-line events from the freqconn loggers and
-    writes them to <out>/run.log (no timestamps, so runs stay reproducible)."""
+    """Collects structured one-line events from the freqconn loggers, and
+    Python warnings as ``warning`` events, and writes them to <out>/run.log
+    (no timestamps or source paths, so runs stay reproducible)."""
 
     def __init__(self, out: Path):
         self.path = out / "run.log"
         self.handler = logging.FileHandler(self.path, mode="w", encoding="utf-8")
         self.handler.setFormatter(logging.Formatter("%(message)s"))
         self.logger = logging.getLogger("freqconn")
+        self.warnings = warnings.catch_warnings()  # restores showwarning and filters
 
     def __enter__(self):
         self.prior_level = self.logger.level
         self.logger.setLevel(logging.INFO)
         self.logger.addHandler(self.handler)
+        self.warnings.__enter__()
+        warnings.showwarning = lambda message, category, *_: log.warning(
+            "warning category=%s message=%s", category.__name__, message)
         return self
 
     def __exit__(self, *exc):
+        self.warnings.__exit__(*exc)
         self.logger.removeHandler(self.handler)
         self.logger.setLevel(self.prior_level)
         self.handler.close()
@@ -448,61 +457,40 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+_PANEL = ("panel", None, "panel CSV (header date,<symbol>,...)")
+_COMMANDS = (  # name, function, help, positional (dest, nargs, help)
+    ("rv", cmd_rv, "compute daily bi-power volatility from tick CSVs",
+     ("ticks", "+", "tick CSV files (header timestamp,price)")),
+    ("fit", cmd_fit, "fit a VAR to a panel CSV", _PANEL),
+    ("connect", cmd_connect, "full-sample connectedness report", _PANEL),
+    ("roll", cmd_roll, "rolling-window analysis", _PANEL),
+    ("synth", cmd_synth, "generate a synthetic panel with truth sidecar", None),
+)
+
+
 def build_parser() -> _Parser:
+    """One subparser per command, offering the option-table rows that name it."""
     parser = _Parser(prog="freqconn",
                      description="Volatility connectedness across frequency bands")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="INI config file with a [freqconn] section")
-    common.add_argument("--lags", type=int, help="VAR lag order (default 2)")
-    common.add_argument("--window", type=int, help="rolling window length (default 500)")
-    common.add_argument("--step", type=int, help="rolling step (default 1)")
-    common.add_argument("--bands", help="day bands, e.g. '1:5,5:inf'")
-    common.add_argument("--htrunc", type=int, help="MA truncation horizon (default 100)")
-    common.add_argument("--nfreq", type=int, help="frequency grid size (default 512)")
-    common.add_argument("--boot", type=int, help="bootstrap replications, 0 = off")
-    common.add_argument("--significance", type=float,
-                        help="bootstrap band significance (default 0.10 -> 5th-95th pct)")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--events", help="events CSV (date,label) for annotation")
-    common.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or freqconn-out)")
-    common.add_argument("--transform", choices=ingest.TRANSFORMS,
-                        help="volatility transform (default log)")
-    common.add_argument("--no-intercept", action="store_true",
-                        help="drop the VAR constant term")
-
     subs = parser.add_subparsers(dest="command", required=True)
-
-    rv = subs.add_parser("rv", parents=[common],
-                         help="compute daily bi-power volatility from tick CSVs")
-    rv.add_argument("ticks", nargs="+", help="tick CSV files (header timestamp,price)")
-    rv.add_argument("--symbols", help="comma-separated symbols (default: file stems)")
-    rv.add_argument("--spacing", type=int, help="grid spacing in minutes (default 5)")
-    rv.add_argument("--session", help="trading session, e.g. 00:00-24:00 (default)")
-    rv.add_argument("--holidays", help="file of ISO dates to exclude, one per line")
-    rv.set_defaults(func=cmd_rv)
-
-    fit = subs.add_parser("fit", parents=[common], help="fit a VAR to a panel CSV")
-    fit.add_argument("panel", help="panel CSV (header date,<symbol>,...)")
-    fit.set_defaults(func=cmd_fit)
-
-    connect = subs.add_parser("connect", parents=[common],
-                              help="full-sample connectedness report")
-    connect.add_argument("panel")
-    connect.set_defaults(func=cmd_connect)
-
-    roll = subs.add_parser("roll", parents=[common], help="rolling-window analysis")
-    roll.add_argument("panel")
-    roll.add_argument("--ratios", action="store_true",
-                      help="emit short/long ratio series and trend fits (needs 2 bands)")
-    roll.set_defaults(func=cmd_roll)
-
-    synth = subs.add_parser("synth", parents=[common],
-                            help="generate a synthetic panel with truth sidecar")
-    synth.add_argument("--k", type=int, help="number of variables (default 3)")
-    synth.add_argument("--periods", type=int, help="panel length (default 1000)")
-    synth.add_argument("--model", help="VAR model text file to simulate instead of the default")
-    synth.set_defaults(func=cmd_synth)
-
+    for name, func, help_text, positional in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if positional:
+            dest, nargs, arg_help = positional
+            sub.add_argument(dest, nargs=nargs, help=arg_help)
+        sub.add_argument("--config", help="INI config file with a [freqconn] section")
+        sub.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or freqconn-out)")
+        for key, opt in _OPTIONS.items():
+            if name not in opt.commands.split():
+                continue
+            flag = "--" + key.replace("_", "-")
+            if opt.type is bool:
+                sub.add_argument(flag, action="store_true", help=opt.help)
+            else:
+                shown = "" if opt.default is None else f" (default {opt.default})"
+                sub.add_argument(flag, type=opt.type, choices=opt.choices,
+                                 help=opt.help + shown)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -23,10 +23,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .freqdomain import BandSpec, band_measures, spectral_gfevd
+from .freqdomain import DEFAULT_N_FREQ, BandSpec, band_measures, spectral_gfevd
 from .ingest import VolatilityPanel, simulate_var
 from .timedomain import dy_measures, gfevd
-from .varcore import VarModel, fit_var_values, wold
+from .varcore import DEFAULT_TRUNCATION, VarModel, fit_var_values, wold
 
 log = logging.getLogger(__name__)
 
@@ -38,8 +38,8 @@ ZERO_DENOM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    """Parametric bootstrap configuration. ``significance`` of 0.10 spans the
-    5th-95th percentiles of the replicated measures."""
+    """Parametric bootstrap configuration. The default ``significance`` spans
+    the 5th-95th percentiles of the replicated measures."""
 
     replications: int = DEFAULT_REPLICATIONS
     significance: float = DEFAULT_SIGNIFICANCE
@@ -205,8 +205,8 @@ def rolling_connectedness(
     window: int = DEFAULT_WINDOW,
     step: int = 1,
     bands: Sequence[BandSpec] = (),
-    h_trunc: int = 100,
-    n_freq: int = 512,
+    h_trunc: int = DEFAULT_TRUNCATION,
+    n_freq: int = DEFAULT_N_FREQ,
     include_intercept: bool = True,
     bootstrap: BootstrapSpec | None = None,
 ) -> RollingResult:
@@ -274,8 +274,8 @@ def bootstrap_bands(
     model: VarModel,
     window: int,
     bands: Sequence[BandSpec] = (),
-    h_trunc: int = 100,
-    n_freq: int = 512,
+    h_trunc: int = DEFAULT_TRUNCATION,
+    n_freq: int = DEFAULT_N_FREQ,
     replications: int = DEFAULT_REPLICATIONS,
     significance: float = DEFAULT_SIGNIFICANCE,
     seed=0,

@@ -8,7 +8,9 @@ integrates in closed form without visiting its cells. Cell averages rather
 than point evaluations make the discrete Parseval identity exact: the
 full-grid mean reproduces the time-domain sums to machine precision, so
 band measures over any partition of (0, pi] reconstruct the unconditional
-measures exactly instead of to O(1/n_freq).
+measures exactly instead of to O(1/n_freq). Both domains use one horizon:
+at truncation H they sum the MA terms psi_0..psi_{H-1}, as
+``timedomain.gfevd(model, wold_seq, H)`` does.
 
 Standardization is global: band tables are normalized by the full-band row
 sums, which is what makes within-band tables additive across a partition
@@ -96,8 +98,8 @@ class SpectralGrid:
     ``numerator`` and ``denominator`` are the same integral over each cell.
     """
 
-    numer_lags: np.ndarray    # (H+1, k, k), already divided by sigma_jj
-    denom_lags: np.ndarray    # (H+1, k)
+    numer_lags: np.ndarray    # (H, k, k), already divided by sigma_jj
+    denom_lags: np.ndarray    # (H, k)
     n_freq: int
     variable_names: tuple[str, ...]
 
@@ -234,20 +236,21 @@ def spectral_gfevd(
     With ``B_h = psi_h Sigma``, the numerator ``sigma_jj**-1 |sum_h B_{h,ij}
     e^{-ihw}|^2`` and the denominator ``(Psi Sigma Psi*)_{ii}`` are cosine
     series whose coefficients are lag autocorrelations of ``B`` with ``B``
-    and with ``psi``, computed by FFT. The grid keeps those lags; averaging
-    the whole grid recovers the H-truncated time-domain sums exactly.
+    and with ``psi``, computed by FFT. The sums run over psi_0..psi_{H-1},
+    the horizon of ``gfevd(model, wold_seq, H)``, so averaging the whole grid
+    recovers the H-truncated time-domain sums exactly.
     """
     if n_freq < MIN_N_FREQ:
         raise UsageError(f"n_freq must be >= {MIN_N_FREQ}, got {n_freq}")
     stable, radius = stability(model)
     if not stable:
         raise NumericError(f"unstable VAR (spectral radius {radius:.6g}) has no spectral decomposition")
-    psi = wold_seq.psi
+    psi = wold_seq.psi[:wold_seq.truncation]
     diag = np.diag(model.sigma)
     if (diag <= 0).any():
         raise NumericError("innovation covariance has a non-positive diagonal entry")
 
-    b = psi @ model.sigma                       # (H+1, k, k)
+    b = psi @ model.sigma                       # (H, k, k)
     numer_lags = _autocorr(b, b) / diag[None, None, :]
     denom_lags = _autocorr(b, psi).sum(axis=2)
     return SpectralGrid(numer_lags=numer_lags, denom_lags=denom_lags, n_freq=n_freq,
@@ -265,10 +268,12 @@ def band_table(grid: SpectralGrid, band: BandSpec) -> tuple[np.ndarray, np.ndarr
     full-band forecast-error variance; standardization divides row i by the
     i-th row sum of the full-band unstandardized table, so band tables are
     additive across a partition and the full band has unit row sums. A row
-    with no full-band mass standardizes to zeros.
+    with no full-band mass standardizes to zeros. The full band sums to
+    ``n_freq`` times the lag-0 coefficients, read without integrating.
     """
     band_num, _ = grid.integrate(band)
-    numer_full, denom_full = grid.integrate(BandSpec(0.0, math.pi))
+    numer_full = _clip_negatives(grid.n_freq * grid.numer_lags[0], "spectral numerator")
+    denom_full = grid.n_freq * grid.denom_lags[0]
     if (denom_full <= 0).any():
         raise NumericError("zero full-band forecast-error variance")
     unstd = band_num / denom_full[:, None]
@@ -278,7 +283,8 @@ def band_table(grid: SpectralGrid, band: BandSpec) -> tuple[np.ndarray, np.ndarr
 
 
 def unconditional_table(grid: SpectralGrid) -> ConnectednessTable:
-    """Full-band table (0, pi]; equals the H-truncated time-domain GFEVD."""
+    """Full-band table (0, pi]; equals the time-domain GFEVD at horizon H,
+    which sums psi_0..psi_{H-1}."""
     unstd, std = band_table(grid, BandSpec(0.0, math.pi))
     return ConnectednessTable(theta=std, raw=unstd, horizon_tag="unconditional",
                               variable_names=grid.variable_names)

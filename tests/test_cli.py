@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqconn.cli import default_synth_model, main, parse_band_string, parse_session
+from freqconn.cli import (
+    _OPTIONS,
+    build_parser,
+    default_synth_model,
+    main,
+    parse_band_string,
+    parse_session,
+)
 from freqconn.errors import UsageError
 from freqconn.varcore import model_from_text, model_to_text
 from helpers import make_model
@@ -305,3 +312,92 @@ class TestConfigResolution:
             model = default_synth_model(k)
             assert model.is_stable
             assert np.linalg.eigvalsh(model.sigma).min() > 0
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[freqconn]\nwindw = 300\n")
+        code = run(["synth", "--k", "2", "--periods", "120", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'windw'" in err
+
+    def test_key_read_by_another_command_accepted(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[freqconn]\nwindow = 300\nspacing = 10\n")
+        out = tmp_path / "out"
+        assert run(["synth", "--k", "2", "--periods", "120", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert "window = 300" in (out / "resolved_config.txt").read_text().splitlines()
+
+
+COMMANDS = ("rv", "fit", "connect", "roll", "synth")
+
+
+def offered_flags(command):
+    subs = next(a for a in build_parser()._actions if a.dest == "command")
+    return {flag for action in subs.choices[command]._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parser_offers_exactly_its_rows(self, command):
+        rows = {"--" + key.replace("_", "-") for key, opt in _OPTIONS.items()
+                if command in opt.commands.split()}
+        assert offered_flags(command) == rows | {"--config", "--out"}
+
+    def test_flag_counts(self):
+        counts = {c: len(offered_flags(c)) for c in COMMANDS}
+        assert counts == {"rv": 7, "fit": 5, "connect": 8, "roll": 15, "synth": 11}
+
+    @pytest.mark.parametrize("argv", [
+        ["rv", TICKS[0], "--nfreq", "64"],
+        ["fit", "panel.csv", "--boot", "100"],
+        ["connect", "panel.csv", "--window", "300"],
+        ["synth", "--no-intercept"],
+        ["roll", "panel.csv", "--spacing", "5"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_echo_keys_are_table_keys(self, command, tmp_path):
+        (tmp_path / "holidays.txt").write_text("")
+        (tmp_path / "events.csv").write_text("date,label\n")
+        model = make_model(np.diag([0.5, 0.3]), np.eye(2))
+        (tmp_path / "model.txt").write_text(model_to_text(model))
+        panel = tmp_path / "synth"
+        assert run(["synth", "--model", str(tmp_path / "model.txt"), "--periods", "120",
+                    "--out", str(panel)]) == 0
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[freqconn]\nwindow = 100\nstep = 10\nsymbols = CO,HO\n"
+                       f"holidays = {tmp_path / 'holidays.txt'}\n"
+                       f"events = {tmp_path / 'events.csv'}\n"
+                       f"model = {tmp_path / 'model.txt'}\nperiods = 120\n")
+        inputs = TICKS if command == "rv" else [] if command == "synth" else [
+            str(panel / "panel.csv")]
+        out = tmp_path / "out"
+        assert run([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 0
+        keys = [line.split(" = ")[0]
+                for line in (out / "resolved_config.txt").read_text().splitlines()]
+        config_keys = {key for key, opt in _OPTIONS.items() if opt.type is not bool}
+        assert set(keys) - {"command", "input"} == config_keys | {"out"}
+
+
+class TestRunLog:
+    def test_warnings_go_to_run_log(self, tmp_path, capsys):
+        # stable (eigenvalues 0.5) but non-normal: psi_1 outgrows psi_0
+        model = make_model([[0.5, 2.0], [0.0, 0.5]], np.eye(2))
+        (tmp_path / "model.txt").write_text(model_to_text(model))
+        synth = tmp_path / "synth"
+        assert run(["synth", "--model", str(tmp_path / "model.txt"), "--periods", "300",
+                    "--htrunc", "1", "--out", str(synth)]) == 0
+        out = tmp_path / "roll"
+        assert run(["roll", str(synth / "panel.csv"), "--lags", "1", "--window", "250",
+                    "--step", "25", "--htrunc", "1", "--out", str(out)]) == 0
+        lines = (out / "run.log").read_text().splitlines()
+        assert any(line.startswith("warning category=RuntimeWarning message=Wold tail norm")
+                   for line in lines)
+        assert "Wold tail" not in capsys.readouterr().err

@@ -353,6 +353,20 @@ class TestClosedFormIntegral:
             assert self.rel(sum_num, full_num) < 1e-12
             assert self.rel(sum_den, full_den) < 1e-12
 
+    def test_reconstruction_exact_on_persistent_fleet(self):
+        # both domains sum psi_0..psi_{H-1}; a psi_H term on one side only
+        # leaves a residual of order 1e-4 at radius 0.99
+        for model in self.FLEET:
+            seq = wold(model, 100)
+            dy = dy_measures(gfevd(model, seq, 100))
+            grid = spectral_gfevd(model, seq, 512)
+            for partition in self.PARTITIONS.values():
+                measures = [band_measures(grid, days_to_band(a, b)) for a, b in partition]
+                residual = abs(sum(m.absolute_total for m in measures) - dy.total)
+                from_sum = sum(m.absolute_from for m in measures)
+                assert residual <= 1e-12, (model.k, residual)
+                assert np.abs(from_sum - dy.from_others).max() <= 1e-12
+
 
 class TestPerFrequencyDiagnostic:
     def test_full_band_rows_sum_to_one(self):
@@ -368,3 +382,4 @@ class TestPerFrequencyDiagnostic:
         _, global_std = band_table(grid, band)
         literal = per_frequency_table(grid, band)
         assert np.abs(global_std - literal).max() > 1e-4
+
