@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -23,10 +24,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .freqdomain import DEFAULT_N_FREQ, BandSpec, band_measures, spectral_gfevd
+from .freqdomain import (DEFAULT_N_FREQ, BandSpec, _band_runs, _band_stack, _band_tables,
+                         _spectral_lags)
 from .ingest import VolatilityPanel, simulate_var
-from .timedomain import dy_measures, gfevd
-from .varcore import DEFAULT_TRUNCATION, VarModel, fit_var_values, wold
+from .timedomain import _antisymmetry_faults, _dy_stack, _gfevd_stack, _table_faults
+from .varcore import (DEFAULT_TRUNCATION, VarModel, _fit_stack, _flag, _raise_fault,
+                      _spectral_radius, _stable, _tail_warnings, _wold_stack, wold)
+# Unused here; perfbench's tracer self-test reads ``dynamics.fit_var_values``.
+from .varcore import fit_var_values  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +39,10 @@ DEFAULT_WINDOW = 500
 DEFAULT_REPLICATIONS = 500
 DEFAULT_SIGNIFICANCE = 0.10
 ZERO_DENOM_TOL = 1e-12
+# Working-array budget of one batched step; sets how many windows or
+# replicates share a stack (about 38 at k = 3 and 7 at k = 8 on the paper
+# protocol's window, horizon and grid).
+_STEP_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,50 @@ def measure_ids(variable_names: Sequence[str], bands: Sequence[BandSpec]) -> lis
     return ids
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What a measure step needs that does not depend on the data: the
+    measure ids, the upper-triangle index pair and each band's integration
+    weights. Built once per public call (:func:`_plan`)."""
+
+    ids: tuple[str, ...]
+    upper: tuple[np.ndarray, np.ndarray]
+    runs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    h_trunc: int
+    n_freq: int
+
+
+def _plan(names: Sequence[str], bands: Sequence[BandSpec], h_trunc: int,
+          n_freq: int) -> _Plan:
+    runs = _band_runs(bands, h_trunc, n_freq) if bands else ()
+    return _Plan(tuple(measure_ids(names, bands)), np.triu_indices(len(names), 1), runs,
+                 h_trunc, n_freq)
+
+
+def _measure_stack(psi: np.ndarray, sigma: np.ndarray, plan: _Plan,
+                   faults: list[str]) -> np.ndarray:
+    """Measure vectors (N, n_measures), in :func:`measure_ids` order, of N
+    models given as MA terms ``psi`` (N, > h_trunc, k, k) and covariances
+    ``sigma`` (N, k, k). A row that fails a check gets a fault and NaNs."""
+    psi = psi[:, :plan.h_trunc]
+    b, _, theta = _gfevd_stack(psi, sigma, faults)
+    _table_faults(theta, faults)
+    total, from_others, to_others, net, pairwise = _dy_stack(theta)
+    _antisymmetry_faults(pairwise, faults)
+    upper = (slice(None), *plan.upper)
+    parts = [total[:, None], from_others, to_others, net, pairwise[upper]]
+    if plan.runs:
+        lags = _spectral_lags(b, psi, np.diagonal(sigma, axis1=1, axis2=2))
+        for run in plan.runs:
+            bm = _band_stack(_band_tables(*lags, plan.n_freq, run, faults)[1])
+            parts += [bm["within_total"][:, None], bm["within_from"], bm["within_to"],
+                      bm["within_net"], bm["within_pairwise"][upper], bm["gamma"][:, None],
+                      bm["absolute_total"][:, None], bm["absolute_from"], bm["absolute_to"]]
+    values = np.concatenate(parts, axis=1)
+    values[[bool(f) for f in faults]] = np.nan
+    return values
+
+
 def evaluate_measures(
     model: VarModel,
     bands: Sequence[BandSpec],
@@ -163,36 +216,69 @@ def evaluate_measures(
 ) -> np.ndarray:
     """Time-domain and per-band measures for one fitted model, as one float
     vector in :func:`measure_ids` order."""
+    plan = _plan(model.variable_names, bands, h_trunc, n_freq)
     w = wold(model, h_trunc)
-    dy = dy_measures(gfevd(model, w, h_trunc))
-    upper = np.triu_indices(model.k, 1)
-    parts = [[dy.total], dy.from_others, dy.to_others, dy.net, dy.pairwise[upper]]
-    if bands:
-        grid = spectral_gfevd(model, w, n_freq)
-        for band in bands:
-            bm = band_measures(grid, band)
-            parts += [[bm.within_total], bm.within_from, bm.within_to, bm.within_net,
-                      bm.within_pairwise[upper], [bm.gamma, bm.absolute_total],
-                      bm.absolute_from, bm.absolute_to]
-    return np.concatenate(parts)
+    faults = [""]
+    values = _measure_stack(w.psi[np.newaxis], model.sigma[np.newaxis], plan, faults)
+    _raise_fault(faults)
+    return values[0]
 
 
-def _fit_screen_measure(values: np.ndarray, p: int, include_intercept: bool,
-                        names: Sequence[str], bands: Sequence[BandSpec], h_trunc: int,
-                        n_freq: int) -> tuple[VarModel, np.ndarray]:
-    """Fit, screen and measure one (T, k) rolling window or bootstrap replicate.
-    Numeric failures raise NumericError led by a reason code (``fit_failed``,
-    ``unstable``, ``measure_failed``); other measure errors pass through."""
+@dataclass(frozen=True)
+class _StepResult:
+    values: np.ndarray          # (N, n_measures), NaN on failed rows
+    reasons: list[str]          # "" or "<reason code>: <detail>" per row
+    tails: list[str]            # Wold tail warning text per row, or ""
+    fit: tuple[np.ndarray, ...] | None   # intercept, phi, sigma stacks
+
+
+def _batched_step(panels: np.ndarray, p: int, include_intercept: bool,
+                  plan: _Plan) -> _StepResult:
+    """Fit, screen and measure a stack of N (T, k) rolling windows or
+    bootstrap replicates. A failing row does not raise: it gets NaNs and a
+    reason led by ``fit_failed``, ``unstable`` or ``measure_failed``. A
+    configuration error (``DataError``/``UsageError`` past the fit) raises.
+    Each row's values are those of its own N = 1 step, bit for bit."""
+    n = len(panels)
+    values = np.full((n, len(plan.ids)), np.nan)
+    reasons, tails = [""] * n, [""] * n
     try:
-        model = fit_var_values(values, p, include_intercept, names)
-    except (DataError, NumericError) as exc:
-        raise NumericError(f"fit_failed: {exc}") from exc
-    if not model.is_stable:
-        raise NumericError(f"unstable: spectral radius {model.spectral_radius:.6g}")
-    try:
-        return model, evaluate_measures(model, bands, h_trunc, n_freq)
-    except NumericError as exc:
-        raise NumericError(f"measure_failed: {exc}") from exc
+        fit = _fit_stack(panels, p, include_intercept, reasons)
+    except DataError as exc:
+        return _StepResult(values, [f"fit_failed: {exc}"] * n, tails, None)
+    reasons = [f"fit_failed: {r}" if r else "" for r in reasons]
+    phi, sigma = fit[1], fit[2]
+    fitted = np.array([not r for r in reasons])
+    radius = np.full(n, np.nan)
+    radius[fitted] = _spectral_radius(phi[fitted])
+    _flag(reasons, fitted & ~_stable(radius),
+          lambda i: f"unstable: spectral radius {radius[i]:.6g}")
+    live = np.flatnonzero([not r for r in reasons])
+    if live.size:
+        psi = _wold_stack(phi[live], plan.h_trunc)
+        faults = [""] * live.size
+        values[live] = _measure_stack(psi, sigma[live], plan, faults)
+        for i, tail, fault in zip(live, _tail_warnings(psi), faults):
+            tails[i] = tail
+            reasons[i] = fault and f"measure_failed: {fault}"
+    return _StepResult(values, reasons, tails, fit)
+
+
+def _chunk_rows(k: int, p: int, t_total: int, plan: _Plan) -> int:
+    """Rows per batched step that keep its main working arrays (fit, MA
+    terms, FFT lags) within ``_STEP_BYTES``."""
+    m = k * p + 1
+    nfft = 1 << (2 * plan.h_trunc - 1).bit_length()
+    per_row = (t_total * (2 * m + 2 * k) + 4 * (plan.h_trunc + 1) * k * k
+               + (6 * nfft * k * k if plan.runs else 0))
+    return max(1, _STEP_BYTES // (8 * per_row))
+
+
+def _warn(text: str) -> None:
+    """Emit a row's Wold tail warning. Every row warns from this one line,
+    so the warnings filter's once-per-location rule treats all alike."""
+    if text:
+        warnings.warn(text, RuntimeWarning)
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +309,37 @@ def rolling_connectedness(
         raise DataError(f"window {window} exceeds sample length {t_total}")
     if step < 1:
         raise UsageError("step must be >= 1")
-    starts = range(0, t_total - window + 1, step)
-    anchors = tuple(panel.dates[s + window - 1] for s in starts)
-    ids = measure_ids(panel.symbols, bands)
-    points = np.full((len(anchors), len(ids)), np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        panel.values, window, axis=0)[::step].transpose(0, 2, 1)   # (n_windows, window, k)
+    anchors = tuple(panel.dates[window - 1::step])
+    plan = _plan(panel.symbols, bands, h_trunc, n_freq)
+    points = np.full((len(anchors), len(plan.ids)), np.nan)
     lowers = points.copy()
     uppers = points.copy()
     gaps: list[tuple[dt.date, str]] = []
 
-    for w_idx, start in enumerate(starts):
-        try:
-            model, point = _fit_screen_measure(
-                panel.values[start:start + window], p, include_intercept, panel.symbols,
-                bands, h_trunc, n_freq)
-            if bootstrap is not None:
+    rows = _chunk_rows(panel.shape[1], p, window, plan)
+    for first in range(0, len(anchors), rows):
+        res = _batched_step(windows[first:first + rows], p, include_intercept, plan)
+        for i, reason in enumerate(res.reasons):
+            w_idx = first + i
+            _warn(res.tails[i])
+            if not reason and bootstrap is not None:
+                intercept, phi, sigma = (a[i] for a in res.fit)
+                model = VarModel(k=panel.shape[1], p=p, intercept=intercept, phi=tuple(phi),
+                                 sigma=sigma, n_obs=window - p, variable_names=panel.symbols)
                 try:
                     lowers[w_idx], uppers[w_idx] = bootstrap_bands(
                         model, window, bands=bands, h_trunc=h_trunc, n_freq=n_freq,
                         replications=bootstrap.replications, significance=bootstrap.significance,
                         seed=(bootstrap.seed, w_idx), include_intercept=include_intercept)
                 except NumericError as exc:
-                    raise NumericError(f"bootstrap_failed: {exc}") from exc
-        except NumericError as exc:
-            gaps.append((anchors[w_idx], str(exc)))
-            log.warning("window_gap anchor=%s reason=%s", anchors[w_idx], exc)
-            continue
-        points[w_idx] = point
+                    reason = f"bootstrap_failed: {exc}"
+            if reason:
+                gaps.append((anchors[w_idx], reason))
+                log.warning("window_gap anchor=%s reason=%s", anchors[w_idx], reason)
+            else:
+                points[w_idx] = res.values[i]
 
     if len(gaps) == len(anchors):
         raise NumericError("no valid windows: every window is a gap")
@@ -259,7 +350,7 @@ def rolling_connectedness(
     lowers = np.where(finite & (points < lowers), points, lowers)
     uppers = np.where(finite & (points > uppers), points, uppers)
     series = {m: MeasureSeries(points[:, i], lowers[:, i], uppers[:, i])
-              for i, m in enumerate(ids)}
+              for i, m in enumerate(plan.ids)}
     return RollingResult(
         window_length=window, step=step, anchor_dates=anchors, series=series,
         bands_used=tuple(bands), bootstrap_meta=bootstrap, gaps=tuple(gaps),
@@ -297,15 +388,17 @@ def bootstrap_bands(
         raise NumericError(f"cannot bootstrap an unstable model (radius {model.spectral_radius:.6g})")
 
     seed_parts = seed if isinstance(seed, tuple) else tuple(np.atleast_1d(seed).tolist())
+    plan = _plan(model.variable_names, bands, h_trunc, n_freq)
     panels = simulate_var(model, window, [(*seed_parts, rep) for rep in range(replications)])
-    samples = np.full((replications, len(measure_ids(model.variable_names, bands))), np.nan)
+    samples = np.empty((replications, len(plan.ids)))
     n_bad = 0
-    for rep, values in enumerate(panels):
-        try:
-            _, samples[rep] = _fit_screen_measure(
-                values, model.p, include_intercept, model.variable_names, bands, h_trunc, n_freq)
-        except NumericError:
-            n_bad += 1
+    rows = _chunk_rows(model.k, model.p, window, plan)
+    for first in range(0, replications, rows):
+        res = _batched_step(panels[first:first + rows], model.p, include_intercept, plan)
+        for text in res.tails:
+            _warn(text)
+        samples[first:first + rows] = res.values
+        n_bad += sum(map(bool, res.reasons))
     if n_bad > 0.2 * replications:
         raise NumericError(f"{n_bad}/{replications} bootstrap replicates failed; use a larger window")
     samples[~np.isfinite(samples)] = np.nan
@@ -404,20 +497,19 @@ def _split_id(measure_id: str) -> tuple[str, str]:
     return (base, band) if base else (measure_id, "")
 
 
-def _csv_value(x: float) -> str:
-    return "" if not np.isfinite(x) else repr(float(x))
+def _csv_cells(values: np.ndarray) -> list[str]:
+    return ["" if not math.isfinite(x) else repr(x) for x in values.tolist()]
 
 
 def write_rolling_csv(result: RollingResult, path: str | Path) -> None:
     """Long-format series: ``date,measure,band,value,lower,upper``."""
+    days = [day.isoformat() + "," for day in result.anchor_dates]
     lines = ["date,measure,band,value,lower,upper"]
     for mid, s in result.series.items():
         base, band = _split_id(mid)
-        for i, day in enumerate(result.anchor_dates):
-            lines.append(",".join((
-                day.isoformat(), base, band,
-                _csv_value(s.point[i]), _csv_value(s.lower[i]), _csv_value(s.upper[i]),
-            )))
+        prefix = f"{base},{band},"
+        lines += [day + prefix + ",".join(cells) for day, *cells in
+                  zip(days, _csv_cells(s.point), _csv_cells(s.lower), _csv_cells(s.upper))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

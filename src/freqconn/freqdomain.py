@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
-from .timedomain import ConnectednessTable
-from .varcore import VarModel, WoldSequence, stability
+from .timedomain import ConnectednessTable, _dy_stack
+from .varcore import VarModel, WoldSequence, _flag, _raise_fault, stability
 
 DEFAULT_N_FREQ = 512
 MIN_N_FREQ = 64
@@ -116,7 +116,7 @@ class SpectralGrid:
     @property
     def frequencies(self) -> np.ndarray:
         """Right cell edges ``pi*m/n_freq``, m = 1..n_freq; the last is exactly pi."""
-        return np.pi * (np.arange(1, self.n_freq + 1) / self.n_freq)
+        return _right_edges(self.n_freq)
 
     @property
     def numerator(self) -> np.ndarray:
@@ -133,30 +133,84 @@ class SpectralGrid:
 
     def cells(self, band: BandSpec) -> np.ndarray:
         """Indices of the band's cells, those whose right edge lies in (lower, upper]."""
-        cells = np.flatnonzero(self.band_mask(band))
-        if cells.size == 0:
-            raise UsageError(f"band {band.label} contains no grid points; increase n_freq "
-                             f"(currently {self.n_freq})")
-        return cells
+        lo, hi = _band_edges(band, self.n_freq)
+        return np.arange(lo, hi)
 
     def integrate(self, band: BandSpec) -> tuple[np.ndarray, np.ndarray]:
         """Numerator (k, k) and denominator (k,) summed over the band's cells."""
-        cells = self.cells(band)
-        return self._integrals(cells[0], cells[-1] + 1)
+        numer, denom = self._integrals(*_band_edges(band, self.n_freq))
+        return numer[0], denom[0]
 
     def _integrals(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and denominator summed over the cells from grid edge ``lo``
-        to ``hi`` (edge m at pi*m/n_freq), one run per entry of ``lo``. A run
-        (a, b] telescopes to ``n_cells c_0 + sum_g 2 (sin g b - sin g a) /
-        (g width) c_g``. Negatives beyond roundoff raise; smaller ones clip."""
-        lo, hi = np.asarray(lo), np.asarray(hi)
-        g = np.arange(1, self.numer_lags.shape[0], dtype=float)
-        sin_b, sin_a = (np.sin(np.multiply.outer(np.pi * e / self.n_freq, g)) for e in (hi, lo))
-        weights = 2.0 * (sin_b - sin_a) / (g * (np.pi / self.n_freq))
-        numer, denom = (np.multiply.outer(hi - lo, lags[0]) + np.tensordot(weights, lags[1:], axes=1)
-                        for lags in (self.numer_lags, self.denom_lags))
-        return (_clip_negatives(numer, "spectral numerator"),
-                _clip_negatives(denom, "spectral denominator"))
+        to ``hi``, one run per entry; negatives beyond roundoff raise, smaller
+        ones clip (scale taken over all runs)."""
+        weights, n_cells = _run_weights(lo, hi, self.numer_lags.shape[0], self.n_freq)
+        faults = [""]
+        numer = _clip_rows(_integrate(self.numer_lags[np.newaxis], weights, n_cells),
+                           "spectral numerator", faults)
+        denom = _clip_rows(_integrate(self.denom_lags[np.newaxis], weights, n_cells),
+                           "spectral denominator", faults)
+        _raise_fault(faults)
+        return numer[0], denom[0]
+
+
+def _check_n_freq(n_freq: int) -> None:
+    if n_freq < MIN_N_FREQ:
+        raise UsageError(f"n_freq must be >= {MIN_N_FREQ}, got {n_freq}")
+
+
+def _band_runs(bands, h_trunc: int, n_freq: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_run_weights`` of each band on the grid that ``spectral_gfevd`` builds
+    from an MA sequence truncated at ``h_trunc`` on ``n_freq`` cells."""
+    _check_n_freq(n_freq)
+    return tuple(_run_weights(*_band_edges(band, n_freq), h_trunc, n_freq) for band in bands)
+
+
+def _right_edges(n_freq: int) -> np.ndarray:
+    return np.pi * (np.arange(1, n_freq + 1) / n_freq)
+
+
+def _band_edges(band: BandSpec, n_freq: int) -> tuple[int, int]:
+    """Grid edges (lo, hi) of the band's run of cells: cell m, with right edge
+    pi*(m+1)/n_freq, belongs to the band when that edge lies in (lower, upper]."""
+    right = _right_edges(n_freq)
+    cells = np.flatnonzero((right > band.lower) & (right <= band.upper))
+    if cells.size == 0:
+        raise UsageError(f"band {band.label} contains no grid points; increase n_freq "
+                         f"(currently {n_freq})")
+    return int(cells[0]), int(cells[-1]) + 1
+
+
+def _run_weights(lo, hi, n_lags: int, n_freq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form weights of runs of cells (lo, hi] in grid edges (edge m at
+    pi*m/n_freq): a run sums ``n_cells c_0 + sum_g 2 (sin g b - sin g a) /
+    (g width) c_g``. Returns weights (R, n_lags - 1) and cell counts (R,)."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    g = np.arange(1, n_lags, dtype=float)
+    sin_b, sin_a = (np.sin(np.multiply.outer(np.pi * e / n_freq, g)) for e in (hi, lo))
+    return 2.0 * (sin_b - sin_a) / (g * (np.pi / n_freq)), hi - lo
+
+
+def _integrate(lags: np.ndarray, weights: np.ndarray, n_cells: np.ndarray) -> np.ndarray:
+    """Sums over R runs of cells of N cosine series with coefficients
+    ``lags`` (N, H, ...): returns (N, R, ...)."""
+    n, h = lags.shape[:2]
+    flat = lags.reshape(n, h, -1)
+    out = n_cells[:, np.newaxis] * flat[:, np.newaxis, 0] + weights @ flat[:, 1:]
+    return out.reshape(n, len(n_cells), *lags.shape[2:])
+
+
+def _clip_rows(arr: np.ndarray, what: str, faults: list[str]) -> np.ndarray:
+    """Flag each row of ``arr`` (axis 0) holding an entry below
+    ``-NEGATIVE_CLIP_TOL`` times the row's scale ``max(1, max |entry|)``;
+    clip the rest of the negatives, which are roundoff, to zero."""
+    rows = arr.reshape(len(arr), -1)
+    low = rows.min(axis=1)
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    _flag(faults, low < -NEGATIVE_CLIP_TOL * scale,
+          lambda i: f"{what} has negative entry {low[i]:.3g} beyond roundoff tolerance")
+    return np.maximum(arr, 0.0)
 
 
 @dataclass(frozen=True)
@@ -208,22 +262,22 @@ def spectral_density(wold_seq: WoldSequence, sigma: np.ndarray, omega: float) ->
 # ---------------------------------------------------------------------------
 
 def _autocorr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c[g] = sum_h x[h] * y[h + g] along axis 0, for g = 0..n-1, via FFT."""
-    n = x.shape[0]
+    """c[g] = sum_h x[h] * y[h + g] along axis 1, for g = 0..H-1, via FFT."""
+    n = x.shape[1]
     nfft = 1 << (2 * n - 1).bit_length()
-    fx = np.fft.rfft(x, n=nfft, axis=0)
-    fy = np.fft.rfft(y, n=nfft, axis=0)
-    full = np.fft.irfft(fx.conj() * fy, n=nfft, axis=0)
-    return full[:n]
+    fx = np.fft.rfft(x, n=nfft, axis=1)
+    fy = fx if y is x else np.fft.rfft(y, n=nfft, axis=1)
+    return np.fft.irfft(fx.conj() * fy, n=nfft, axis=1)[:, :n]
 
 
-def _clip_negatives(arr: np.ndarray, what: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(arr).max()))
-    tol = NEGATIVE_CLIP_TOL * scale
-    low = float(arr.min())
-    if low < -tol:
-        raise NumericError(f"{what} has negative entry {low:.3g} beyond roundoff tolerance")
-    return np.maximum(arr, 0.0)
+def _spectral_lags(b: np.ndarray, psi: np.ndarray,
+                   diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag coefficients of N models from ``B_h = psi_h Sigma`` (N, H, k, k),
+    ``psi`` (N, H, k, k) and ``diag(Sigma)`` (N, k): numerator (N, H, k, k)
+    divided by sigma_jj, and denominator (N, H, k)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        numer_lags = _autocorr(b, b) / diag[:, np.newaxis, np.newaxis, :]
+    return numer_lags, _autocorr(b, psi).sum(axis=3)
 
 
 def spectral_gfevd(
@@ -240,20 +294,16 @@ def spectral_gfevd(
     the horizon of ``gfevd(model, wold_seq, H)``, so averaging the whole grid
     recovers the H-truncated time-domain sums exactly.
     """
-    if n_freq < MIN_N_FREQ:
-        raise UsageError(f"n_freq must be >= {MIN_N_FREQ}, got {n_freq}")
+    _check_n_freq(n_freq)
     stable, radius = stability(model)
     if not stable:
         raise NumericError(f"unstable VAR (spectral radius {radius:.6g}) has no spectral decomposition")
-    psi = wold_seq.psi[:wold_seq.truncation]
+    psi = wold_seq.psi[np.newaxis, :wold_seq.truncation]
     diag = np.diag(model.sigma)
     if (diag <= 0).any():
         raise NumericError("innovation covariance has a non-positive diagonal entry")
-
-    b = psi @ model.sigma                       # (H, k, k)
-    numer_lags = _autocorr(b, b) / diag[None, None, :]
-    denom_lags = _autocorr(b, psi).sum(axis=2)
-    return SpectralGrid(numer_lags=numer_lags, denom_lags=denom_lags, n_freq=n_freq,
+    numer_lags, denom_lags = _spectral_lags(psi @ model.sigma, psi, diag[np.newaxis])
+    return SpectralGrid(numer_lags=numer_lags[0], denom_lags=denom_lags[0], n_freq=n_freq,
                         variable_names=model.variable_names)
 
 
@@ -271,13 +321,29 @@ def band_table(grid: SpectralGrid, band: BandSpec) -> tuple[np.ndarray, np.ndarr
     with no full-band mass standardizes to zeros. The full band sums to
     ``n_freq`` times the lag-0 coefficients, read without integrating.
     """
-    band_num, _ = grid.integrate(band)
-    numer_full = _clip_negatives(grid.n_freq * grid.numer_lags[0], "spectral numerator")
-    denom_full = grid.n_freq * grid.denom_lags[0]
-    if (denom_full <= 0).any():
-        raise NumericError("zero full-band forecast-error variance")
-    unstd = band_num / denom_full[:, None]
-    row_full = (numer_full.sum(axis=1) / denom_full)[:, None]
+    faults = [""]
+    unstd, std = _band_tables(grid.numer_lags[np.newaxis], grid.denom_lags[np.newaxis],
+                              grid.n_freq,
+                              _run_weights(*_band_edges(band, grid.n_freq),
+                                           grid.numer_lags.shape[0], grid.n_freq), faults)
+    _raise_fault(faults)
+    return unstd[0], std[0]
+
+
+def _band_tables(numer_lags: np.ndarray, denom_lags: np.ndarray, n_freq: int,
+                 run: tuple[np.ndarray, np.ndarray],
+                 faults: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`band_table` for N grids' lags (N, H, k, k) and (N, H, k) on one
+    band, given as its ``_run_weights``: unstandardized and standardized
+    tables (N, k, k)."""
+    band_num = _clip_rows(_integrate(numer_lags, *run)[:, 0], "spectral numerator", faults)
+    _clip_rows(_integrate(denom_lags, *run)[:, 0], "spectral denominator", faults)
+    numer_full = _clip_rows(n_freq * numer_lags[:, 0], "spectral numerator", faults)
+    denom_full = n_freq * denom_lags[:, 0]
+    _flag(faults, (denom_full <= 0).any(axis=1), "zero full-band forecast-error variance")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unstd = band_num / denom_full[:, :, np.newaxis]
+        row_full = (numer_full.sum(axis=2) / denom_full)[:, :, np.newaxis]
     std = np.divide(unstd, row_full, out=np.zeros_like(unstd), where=row_full != 0)
     return unstd, std
 
@@ -314,39 +380,31 @@ def band_measures(grid: SpectralGrid, band: BandSpec) -> BandMeasures:
     carries. Multiplying by ``gamma`` converts them to absolute ones:
     ``absolute_total = within_total * gamma``, and the absolute measures
     add up across a band partition to the unconditional time-domain ones.
+    A band with no mass gets NaN within measures and zero absolute ones.
     """
     _, std = band_table(grid, band)
-    k = grid.k
-    mass = float(std.sum())
-    gamma = mass / k
-    if mass <= 0.0:
-        nan_vec = np.full(k, np.nan)
-        return BandMeasures(
-            band=band, within_table=np.full((k, k), np.nan), within_total=np.nan,
-            within_from=nan_vec, within_to=nan_vec, within_net=nan_vec,
-            within_pairwise=np.full((k, k), np.nan), gamma=0.0,
-            absolute_total=0.0, absolute_from=np.zeros(k), absolute_to=np.zeros(k),
-            variable_names=grid.variable_names,
-        )
-    within = std / gamma
-    diag = np.diag(within)
-    within_from = within.sum(axis=1) - diag
-    within_to = within.sum(axis=0) - diag
-    within_total = float(1.0 - diag.sum() / k)
-    return BandMeasures(
-        band=band,
-        within_table=within,
-        within_total=within_total,
-        within_from=within_from,
-        within_to=within_to,
-        within_net=within_to - within_from,
-        within_pairwise=within.T - within,
-        gamma=gamma,
-        absolute_total=within_total * gamma,
-        absolute_from=within_from * gamma,
-        absolute_to=within_to * gamma,
-        variable_names=grid.variable_names,
-    )
+    fields = {name: v[0] for name, v in _band_stack(std[np.newaxis]).items()}
+    for name in ("within_total", "gamma", "absolute_total"):
+        fields[name] = float(fields[name])
+    return BandMeasures(band=band, variable_names=grid.variable_names, **fields)
+
+
+def _band_stack(std: np.ndarray) -> dict[str, np.ndarray]:
+    """:class:`BandMeasures` fields of N standardized band tables (N, k, k),
+    each field an array with a leading N axis."""
+    k = std.shape[1]
+    mass = std.reshape(len(std), -1).sum(axis=1)
+    live = mass > 0.0
+    gamma = np.where(live, mass / k, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        within = np.where(live[:, np.newaxis, np.newaxis],
+                          std / gamma[:, np.newaxis, np.newaxis], np.nan)
+    within_total, within_from, within_to, within_net, within_pairwise = _dy_stack(within)
+    return dict(within_table=within, within_total=within_total, within_from=within_from,
+                within_to=within_to, within_net=within_net, within_pairwise=within_pairwise,
+                gamma=gamma, absolute_total=np.where(live, within_total * gamma, 0.0),
+                absolute_from=np.where(live[:, np.newaxis], within_from * gamma[:, np.newaxis], 0.0),
+                absolute_to=np.where(live[:, np.newaxis], within_to * gamma[:, np.newaxis], 0.0))
 
 
 # ---------------------------------------------------------------------------

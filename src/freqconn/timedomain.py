@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .varcore import VarModel, WoldSequence
+from .varcore import VarModel, WoldSequence, _flag, _raise_fault
 
 ROW_SUM_TOL = 1e-10
 
@@ -40,10 +40,9 @@ class ConnectednessTable:
         k = len(self.variable_names)
         if th.shape != (k, k):
             raise DataError("theta must be k x k matching variable_names")
-        if np.abs(th.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise NumericError("standardized rows must sum to 1 within 1e-10")
-        if th.min() < -1e-12 or th.max() > 1.0 + 1e-12:
-            raise NumericError("standardized shares must lie in [0, 1]")
+        faults = [""]
+        _table_faults(th[np.newaxis], faults)
+        _raise_fault(faults)
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
         raw = np.asarray(self.raw, dtype=float)
@@ -87,9 +86,23 @@ class DyMeasures:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        asym = np.abs(self.pairwise + self.pairwise.T).max()
-        if asym > 1e-12:
-            raise NumericError("pairwise matrix must be antisymmetric within 1e-12")
+        faults = [""]
+        _antisymmetry_faults(self.pairwise[np.newaxis], faults)
+        _raise_fault(faults)
+
+
+def _table_faults(theta: np.ndarray, faults: list[str]) -> None:
+    """Flag standardized tables (N, k, k) whose rows do not sum to one or
+    whose shares leave [0, 1]."""
+    _flag(faults, np.abs(theta.sum(axis=2) - 1.0).max(axis=1) > ROW_SUM_TOL,
+          "standardized rows must sum to 1 within 1e-10")
+    _flag(faults, (theta.min(axis=(1, 2)) < -1e-12) | (theta.max(axis=(1, 2)) > 1.0 + 1e-12),
+          "standardized shares must lie in [0, 1]")
+
+
+def _antisymmetry_faults(pairwise: np.ndarray, faults: list[str]) -> None:
+    _flag(faults, np.abs(pairwise + pairwise.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12,
+          "pairwise matrix must be antisymmetric within 1e-12")
 
 
 def girf(model: VarModel, wold_seq: WoldSequence, j: int, h: int) -> np.ndarray:
@@ -116,35 +129,48 @@ def gfevd(model: VarModel, wold_seq: WoldSequence, horizon: int) -> Connectednes
     """
     if not 1 <= horizon <= wold_seq.truncation + 1:
         raise DataError(f"horizon {horizon} outside 1..{wold_seq.truncation + 1}")
-    psi = wold_seq.psi[:horizon]
-    diag = np.diag(model.sigma)
-    if (diag <= 0).any():
-        raise NumericError("innovation covariance has a non-positive diagonal entry")
-    b = psi @ model.sigma                               # (H, k, k)
-    numer = (b**2).sum(axis=0) / diag[np.newaxis, :]
-    denom = np.einsum("hij,hij->i", b, psi)             # forecast-error variances
-    if (denom <= 0).any():
-        raise NumericError("zero forecast-error variance in decomposition denominator")
-    raw = numer / denom[:, np.newaxis]
-    theta = raw / raw.sum(axis=1, keepdims=True)
-    return ConnectednessTable(theta=theta, raw=raw, horizon_tag=horizon,
+    faults = [""]
+    _, raw, theta = _gfevd_stack(wold_seq.psi[np.newaxis, :horizon],
+                                 model.sigma[np.newaxis], faults)
+    _raise_fault(faults)
+    return ConnectednessTable(theta=theta[0], raw=raw[0], horizon_tag=horizon,
                               variable_names=model.variable_names)
+
+
+def _gfevd_stack(psi: np.ndarray, sigma: np.ndarray,
+                 faults: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GFEVD of N models from their MA terms ``psi`` (N, H, k, k) and
+    covariances ``sigma`` (N, k, k). Returns ``B_h = psi_h sigma``
+    (N, H, k, k), the raw shares and the row-standardized table (N, k, k).
+    The table checks are the caller's (``_table_faults``)."""
+    diag = np.diagonal(sigma, axis1=1, axis2=2)
+    _flag(faults, (diag <= 0).any(axis=1),
+          "innovation covariance has a non-positive diagonal entry")
+    b = psi @ sigma[:, np.newaxis]
+    denom = (b * psi).sum(axis=3).sum(axis=1)            # forecast-error variances
+    _flag(faults, (denom <= 0).any(axis=1),
+          "zero forecast-error variance in decomposition denominator")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = (b**2).sum(axis=1) / diag[:, np.newaxis, :] / denom[:, :, np.newaxis]
+        theta = raw / raw.sum(axis=2, keepdims=True)
+    return b, raw, theta
 
 
 def dy_measures(table: ConnectednessTable) -> DyMeasures:
     """Classical spillover measures on a standardized table: total is the
     off-diagonal share ``1 - trace/k``; from/to are off-diagonal row/column
     sums; net = to - from; pairwise (i, j) = theta[j, i] - theta[i, j]."""
-    th = table.theta
-    k = table.k
-    diag = np.diag(th)
-    from_others = th.sum(axis=1) - diag
-    to_others = th.sum(axis=0) - diag
-    return DyMeasures(
-        total=float(1.0 - diag.sum() / k),
-        from_others=from_others,
-        to_others=to_others,
-        net=to_others - from_others,
-        pairwise=th.T - th,
-        variable_names=table.variable_names,
-    )
+    total, from_others, to_others, net, pairwise = (
+        v[0] for v in _dy_stack(table.theta[np.newaxis]))
+    return DyMeasures(total=float(total), from_others=from_others, to_others=to_others,
+                      net=net, pairwise=pairwise, variable_names=table.variable_names)
+
+
+def _dy_stack(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(total, from, to, net, pairwise)`` of N standardized tables (N, k, k)."""
+    k = theta.shape[1]
+    diag = np.diagonal(theta, axis1=1, axis2=2)
+    from_others = theta.sum(axis=2) - diag
+    to_others = theta.sum(axis=1) - diag
+    return (1.0 - diag.sum(axis=1) / k, from_others, to_others, to_others - from_others,
+            theta.transpose(0, 2, 1) - theta)

@@ -134,7 +134,7 @@ class TestSynthAndFit:
         text = (tmp_path / "truth.txt").read_text()
         residual = float(next(l for l in text.splitlines()
                               if l.startswith("truth_reconstruction_residual:")).split(":")[1])
-        assert residual < 1e-6
+        assert residual < 1e-12
 
     def test_fit_round_trip(self, tmp_path):
         run(["synth", "--k", "2", "--periods", "800", "--seed", "5", "--out", str(tmp_path)])
@@ -152,7 +152,7 @@ class TestConnect:
         out = tmp_path / "conn"
         assert run(["connect", str(tmp_path / "panel.csv"), "--out", str(out)]) == 0
         report = read_kv(out / "report.txt")
-        assert float(report["reconstruction_residual"]) < 1e-6
+        assert float(report["reconstruction_residual"]) < 1e-12
         table_lines = (out / "connectedness_table.csv").read_text().splitlines()
         assert table_lines[0] == ",V1,V2,V3"
         assert len(table_lines) == 4

@@ -1,11 +1,13 @@
 import datetime as dt
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from freqconn import dynamics
+from freqconn.cli import default_synth_model
 from freqconn.dynamics import (
     BootstrapSpec,
     EventGrid,
@@ -24,8 +26,8 @@ from freqconn.dynamics import (
 )
 from freqconn.errors import DataError, NumericError, UsageError
 from freqconn.freqdomain import SpectralGrid, days_to_band
-from freqconn.ingest import VolatilityPanel, synth_var_panel
-from freqconn.varcore import fit_var, fit_var_values
+from freqconn.ingest import VolatilityPanel, simulate_var, synth_var_panel
+from freqconn.varcore import fit_var, fit_var_values, wold
 from helpers import make_model
 
 BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
@@ -85,7 +87,7 @@ class TestRollingConnectedness:
         rolled = rolling_connectedness(panel, p=1, window=500, step=50, bands=BANDS)
         total = rolled.series["total"].point
         band_sum = sum(rolled.series[f"abs_total@{b.label}"].point for b in BANDS)
-        assert np.abs(band_sum - total).max() < 1e-6
+        assert np.abs(band_sum - total).max() < 1e-12
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("bands", [(), BANDS])
@@ -153,20 +155,29 @@ class TestGapPolicy:
     ROLL = dict(p=1, window=500, step=20, bands=BANDS, n_freq=256,
                 bootstrap=BootstrapSpec(replications=100, seed=3))
 
-    def _roll_with_fault(self, monkeypatch, name, fail_if):
-        """A clean roll, then the same roll with ``dynamics.<name>`` raising
-        NumericError("injected") whenever ``fail_if(*args, **kwargs)``."""
+    def _roll_with_fault(self, monkeypatch, name, make_faulty):
+        """A clean roll, then the same roll with ``dynamics.<name>`` replaced
+        by ``make_faulty(real)``."""
         _, panel = small_panel(n=560)
         clean = rolling_connectedness(panel, **self.ROLL)
-        real = getattr(dynamics, name)
-
-        def faulty(*args, **kwargs):
-            if fail_if(*args, **kwargs):
-                raise NumericError("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, name, faulty)
+        monkeypatch.setattr(dynamics, name, make_faulty(getattr(dynamics, name)))
         return clean, rolling_connectedness(panel, **self.ROLL)
+
+    @staticmethod
+    def _failing_rows(fail_row):
+        """A batched step whose rows with ``fail_row(row_index, panel)`` fail
+        their measure step with the reason ``measure_failed: injected``."""
+        def make(real):
+            def faulty(panels, *args):
+                res = real(panels, *args)
+                bad = [fail_row(i, x) for i, x in enumerate(panels)]
+                values = res.values.copy()
+                values[bad] = np.nan
+                reasons = ["measure_failed: injected" if b else r
+                           for b, r in zip(bad, res.reasons)]
+                return replace(res, values=values, reasons=reasons)
+            return faulty
+        return make
 
     @staticmethod
     def _assert_only_row_is_gap(faulted, clean, w_idx):
@@ -181,11 +192,11 @@ class TestGapPolicy:
 
     def test_measure_failure_becomes_gap(self, monkeypatch, caplog):
         _, panel = small_panel(n=560)
-        target = fit_var_values(panel.values[20:520], 1).phi[0]  # window 1
+        target = panel.values[20:520]  # window 1
         with caplog.at_level("WARNING", logger="freqconn.dynamics"):
             clean, faulted = self._roll_with_fault(
-                monkeypatch, "evaluate_measures",
-                lambda model, *a: np.array_equal(model.phi[0], target))
+                monkeypatch, "_batched_step",
+                self._failing_rows(lambda i, x: np.array_equal(x, target)))
         anchor = clean.anchor_dates[1]
         assert faulted.gaps == ((anchor, "measure_failed: injected"),)
         assert [r.getMessage() for r in caplog.records if "window_gap" in r.getMessage()] == [
@@ -193,51 +204,141 @@ class TestGapPolicy:
         self._assert_only_row_is_gap(faulted, clean, 1)
 
     def test_bootstrap_failure_becomes_gap(self, monkeypatch):
-        clean, faulted = self._roll_with_fault(
-            monkeypatch, "bootstrap_bands", lambda *a, seed, **kw: seed == (3, 2))
+        def make(real):
+            def faulty(*args, seed, **kwargs):
+                if seed == (3, 2):
+                    raise NumericError("injected")
+                return real(*args, seed=seed, **kwargs)
+            return faulty
+
+        clean, faulted = self._roll_with_fault(monkeypatch, "bootstrap_bands", make)
         assert faulted.gaps == ((clean.anchor_dates[2], "bootstrap_failed: injected"),)
         self._assert_only_row_is_gap(faulted, clean, 2)
 
     def test_configuration_error_still_aborts(self, monkeypatch):
-        def broken(*args):
-            raise DataError("h_trunc must be >= 1")
-
-        monkeypatch.setattr(dynamics, "evaluate_measures", broken)
         _, panel = small_panel(n=560)
-        with pytest.raises(DataError, match="h_trunc"):
+        with pytest.raises(DataError, match="h_trunc must be >= 1"):
+            rolling_connectedness(panel, p=1, window=500, step=20, h_trunc=0)
+
+        def broken(*args):
+            raise UsageError("injected configuration error")
+
+        monkeypatch.setattr(dynamics, "_measure_stack", broken)
+        with pytest.raises(UsageError, match="injected configuration error"):
             rolling_connectedness(panel, p=1, window=500, step=20)
 
     def test_failed_replicates_are_skipped_and_counted(self, monkeypatch):
         _, panel = small_panel(n=400)
         fit = fit_var(panel, 1)
-        real = dynamics.evaluate_measures
+        real = dynamics._batched_step
         rows = []
 
         def spy(*args):
-            rows.append(real(*args))
-            return rows[-1]
+            res = real(*args)
+            rows.extend(res.values)
+            return res
 
-        monkeypatch.setattr(dynamics, "evaluate_measures", spy)
+        monkeypatch.setattr(dynamics, "_batched_step", spy)
         bootstrap_bands(fit, 400, replications=100, seed=9)
         assert len(rows) == 100
 
         def fail_calls(n_fail):
             calls = iter(range(100))
+            return self._failing_rows(lambda i, x: next(calls) < n_fail)(real)
 
-            def faulty(*args):
-                if next(calls) < n_fail:
-                    raise NumericError("injected")
-                return real(*args)
-            return faulty
-
-        monkeypatch.setattr(dynamics, "evaluate_measures", fail_calls(20))
+        monkeypatch.setattr(dynamics, "_batched_step", fail_calls(20))
         lo, hi = bootstrap_bands(fit, 400, replications=100, seed=9)
         want = np.quantile(np.array(rows[20:]), [0.05, 0.95], axis=0)
         assert np.array_equal(lo, want[0]) and np.array_equal(hi, want[1])
 
-        monkeypatch.setattr(dynamics, "evaluate_measures", fail_calls(21))
+        monkeypatch.setattr(dynamics, "_batched_step", fail_calls(21))
         with pytest.raises(NumericError, match="21/100 bootstrap replicates failed"):
             bootstrap_bands(fit, 400, replications=100, seed=9)
+
+
+class TestBatchedStep:
+    """The batched fit-screen-measure step: a row's values and reason never
+    depend on which other rows share its stack."""
+
+    PAPER_BANDS = BANDS
+    WIDE_BANDS = tuple(days_to_band(a, b) for a, b in [(1, 5), (5, 20), (20, 60), (60, math.inf)])
+
+    @staticmethod
+    def step(panels, p, bands, rows=None, h_trunc=100, n_freq=512):
+        """Step results over ``panels`` in stacks of ``rows`` (all at once by default)."""
+        plan = dynamics._plan(tuple(f"V{i + 1}" for i in range(panels.shape[2])), bands,
+                              h_trunc, n_freq)
+        rows = rows or len(panels)
+        parts = [dynamics._batched_step(panels[i:i + rows], p, True, plan)
+                 for i in range(0, len(panels), rows)]
+        return (np.concatenate([r.values for r in parts]),
+                [reason for r in parts for reason in r.reasons],
+                [tail for r in parts for tail in r.tails])
+
+    @pytest.mark.parametrize("k, bands, n_reps", [(3, PAPER_BANDS, 50), (8, WIDE_BANDS, 8)])
+    def test_batched_replicate_equals_single_seed_run(self, k, bands, n_reps):
+        truth = default_synth_model(k)
+        panels = simulate_var(truth, 500, [(6100, k, r) for r in range(n_reps)])
+        values, reasons, _ = self.step(panels, 2, bands)
+        assert reasons == [""] * n_reps and np.isfinite(values).all()
+        for rows in (1, 7, 50):
+            assert np.array_equal(self.step(panels, 2, bands, rows)[0], values), rows
+        for r in range(n_reps):
+            single = evaluate_measures(fit_var_values(panels[r], 2), bands, 100, 512)
+            assert np.array_equal(single, values[r]), r
+
+    def test_bad_rows_fail_alone_with_their_reason(self):
+        truth = default_synth_model(3)
+        clean = simulate_var(truth, 500, [(6200, r) for r in range(9)])
+        clean[8] *= 1e-10                          # full rank at its own scale, not the stack's
+        mixed = clean.copy()
+        mixed[2, :, 1] = 1.0                       # constant column: collinear with the intercept
+        rng = np.random.default_rng(6201)
+        walk = np.ones((500, 3))
+        for t in range(1, 500):                    # explosive AR(1), root 1.02
+            walk[t] = 1.02 * walk[t - 1] + rng.standard_normal(3)
+        mixed[5] = walk
+        want, _, _ = self.step(clean, 2, BANDS)
+        got, reasons, _ = self.step(mixed, 2, BANDS)
+        assert reasons[2].startswith("fit_failed: rank-deficient regressor matrix")
+        assert reasons[5].startswith("unstable: spectral radius 1.0")
+        others = [r for r in range(9) if r not in (2, 5)]
+        assert all(reasons[r] == "" for r in others)
+        assert np.isnan(got[[2, 5]]).all()
+        assert np.array_equal(got[others], want[others])
+
+    def test_measure_fault_fails_its_row_alone(self, monkeypatch):
+        panels = simulate_var(default_synth_model(3), 500, [(6250, r) for r in range(4)])
+        want, _, _ = self.step(panels, 2, BANDS)
+        real = dynamics._measure_stack
+
+        def faulty(psi, sigma, plan, faults):
+            faults[1] = "injected"
+            return real(psi, sigma, plan, faults)
+
+        monkeypatch.setattr(dynamics, "_measure_stack", faulty)
+        got, reasons, _ = self.step(panels, 2, BANDS)
+        assert reasons == ["", "measure_failed: injected", "", ""]
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
+
+    def test_short_sample_fails_every_row(self):
+        panels = np.random.default_rng(6300).standard_normal((4, 6, 3))
+        values, reasons, _ = self.step(panels, 2, BANDS)
+        assert reasons == ["fit_failed: insufficient sample: T - p = 4 < k*p + 1 = 7"] * 4
+        assert np.isnan(values).all()
+
+    def test_tail_warning_per_offending_row(self):
+        # non-normal VAR(1): psi_1 = phi keeps a norm above psi_0's at truncation 1
+        truth = make_model([[0.5, 2.0], [0.0, 0.5]], np.eye(2))
+        panels = simulate_var(truth, 400, [(6400, r) for r in range(3)])
+        _, reasons, tails = self.step(panels, 1, (), h_trunc=1)
+        assert reasons == [""] * 3
+        for r in range(3):
+            with pytest.warns(RuntimeWarning) as record:
+                wold(fit_var_values(panels[r], 1), 1)
+            assert tails[r] == str(record[0].message)
+            assert tails[r].startswith("Wold tail norm")
 
 
 class TestMeasurePath:

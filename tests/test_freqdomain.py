@@ -6,6 +6,7 @@ import pytest
 from freqconn.errors import NumericError, UsageError
 from freqconn.freqdomain import (
     SpectralGrid,
+    _clip_rows,
     BandSpec,
     band_measures,
     band_table,
@@ -135,8 +136,8 @@ class TestSpectralGfevd:
         denom = grid.denominator.mean(axis=0)
         ratio = numer / denom[:, None]
         table = ratio / ratio.sum(axis=1, keepdims=True)
-        expected = gfevd(model, seq, 101).theta  # H_trunc + 1 MA terms
-        assert np.abs(table - expected).max() < 1e-6
+        expected = gfevd(model, seq, 100).theta
+        assert np.abs(table - expected).max() < 1e-12
 
     def test_unstable_model_rejected(self):
         model = make_model(np.eye(2), np.eye(2))
@@ -217,9 +218,9 @@ class TestBandMeasures:
         bm = band_measures(grid, BandSpec(0.0, math.pi))
         dy = dy_measures(gfevd(model, seq, 100))
         assert bm.gamma == pytest.approx(1.0, abs=1e-12)
-        assert bm.within_total == pytest.approx(dy.total, abs=1e-6)
-        assert bm.within_from == pytest.approx(dy.from_others, abs=1e-6)
-        assert bm.within_to == pytest.approx(dy.to_others, abs=1e-6)
+        assert bm.within_total == pytest.approx(dy.total, abs=1e-12)
+        assert bm.within_from == pytest.approx(dy.from_others, abs=1e-12)
+        assert bm.within_to == pytest.approx(dy.to_others, abs=1e-12)
 
     def test_reconstruction_identity_paper_bands(self):
         model = make_model([[0.5, 0.2], [0.1, 0.5]], np.eye(2))
@@ -227,7 +228,7 @@ class TestBandMeasures:
         grid = spectral_gfevd(model, seq, 512)
         dy = dy_measures(gfevd(model, seq, 100))
         total = sum(band_measures(grid, b).absolute_total for b in PAPER_BANDS)
-        assert abs(total - dy.total) < 1e-6
+        assert abs(total - dy.total) < 1e-12
 
     def test_directional_reconstruction(self):
         model = random_stable_var(3, 2, seed=56)
@@ -236,8 +237,8 @@ class TestBandMeasures:
         dy = dy_measures(gfevd(model, seq, 100))
         from_sum = sum(band_measures(grid, b).absolute_from for b in PAPER_BANDS)
         to_sum = sum(band_measures(grid, b).absolute_to for b in PAPER_BANDS)
-        assert np.abs(from_sum - dy.from_others).max() < 1e-6
-        assert np.abs(to_sum - dy.to_others).max() < 1e-6
+        assert np.abs(from_sum - dy.from_others).max() < 1e-12
+        assert np.abs(to_sum - dy.to_others).max() < 1e-12
 
     def test_within_bounds_and_weight_partition(self):
         for i, model in enumerate(model_fleet(10, seed0=630)):
@@ -319,6 +320,17 @@ class TestDegenerateBand:
         band_measures(grid, BandSpec(0.0, math.pi / 2))
         with pytest.raises(NumericError, match="spectral numerator has negative entry"):
             band_measures(grid, BandSpec(math.pi / 2, math.pi))
+
+
+    def test_clip_scale_is_per_row(self):
+        # -1e-10 is roundoff next to 1e6 but not next to 1.0: only the
+        # second row of a stack fails, whatever shares its stack
+        faults = ["", ""]
+        clipped = _clip_rows(np.array([[1e6, -1e-10], [1.0, -1e-10]]), "spectral numerator",
+                             faults)
+        assert faults == ["", "spectral numerator has negative entry -1e-10 beyond roundoff "
+                              "tolerance"]
+        assert clipped.min() == 0.0
 
 
 class TestClosedFormIntegral:

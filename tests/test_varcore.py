@@ -49,6 +49,28 @@ class TestFitVar:
         with pytest.raises(NumericError, match="rank-deficient"):
             fit_var_values(values, p=1)
 
+    @pytest.mark.parametrize("k, p, intercept", [(2, 1, True), (3, 2, True), (8, 2, False)])
+    def test_matches_lstsq_reference(self, k, p, intercept):
+        # the fit solves through one SVD per panel; numpy.linalg.lstsq is the
+        # reference for the coefficients and for the rank rule
+        def lstsq(values):
+            n_eff = len(values) - p
+            regressors = np.hstack([np.ones((n_eff, 1))] * intercept
+                                   + [values[p - j:len(values) - j] for j in range(1, p + 1)])
+            beta, _, rank, _ = np.linalg.lstsq(regressors, values[p:], rcond=None)
+            return beta, rank == regressors.shape[1]
+
+        values = np.random.default_rng(40 + k).standard_normal((300, k)).cumsum(axis=0) * 0.1
+        beta, full_rank = lstsq(values)
+        fit = fit_var_values(values, p, include_intercept=intercept)
+        got = np.vstack([fit.intercept[None, :]] * intercept + [m.T for m in fit.phi])
+        assert full_rank
+        assert np.abs(got - beta).max() <= 1e-12 * np.abs(beta).max()
+        values[:, 1] = 2.0 * values[:, 0]
+        assert not lstsq(values)[1]
+        with pytest.raises(NumericError, match="rank-deficient"):
+            fit_var_values(values, p, include_intercept=intercept)
+
     def test_intercept_zero_filled_when_excluded(self):
         panel = synth_var_panel(make_model(np.zeros((2, 2)), np.eye(2)), 500, seed=2)
         fit = fit_var(panel, p=1, include_intercept=False)
