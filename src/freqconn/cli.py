@@ -7,9 +7,9 @@ output), ``synth`` (synthetic panel plus a truth sidecar).
 
 Configuration precedence: command-line flags beat the ``--config`` INI file
 (section ``[freqconn]``), which beats built-in defaults. Every run echoes
-its fully resolved configuration and a structured one-line-per-event run
-log next to its outputs; given the same config and seed, re-runs are
-byte-identical.
+the resolved configuration keys its command reads and a structured
+one-line-per-event run log next to its outputs; given the same config and
+seed, re-runs are byte-identical.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
@@ -47,7 +47,7 @@ ENV_OUT_DIR = "FREQCONN_OUT"
 @dataclass(frozen=True)
 class _Option:
     """A flag on each subcommand in ``commands`` and, unless a switch (``type``
-    bool), a config key that every command resolves and echoes."""
+    bool), a config key that every command resolves and those commands echo."""
 
     commands: str
     help: str
@@ -179,7 +179,8 @@ def _prepare_out(cfg: dict[str, object]) -> Path:
 def _write_config_echo(cfg: dict[str, object], out: Path, command: str, inputs: list[str]) -> None:
     lines = [f"command = {command}"]
     lines += [f"input = {p}" for p in inputs]
-    lines += [f"{key} = {cfg[key]}" for key in sorted(cfg)]
+    lines += [f"{key} = {cfg[key]}" for key in sorted(cfg)
+              if key == "out" or command in _OPTIONS[key].commands.split()]
     (out / "resolved_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

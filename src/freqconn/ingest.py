@@ -183,6 +183,13 @@ class PanelStats:
 # tick loading and filtering
 # ---------------------------------------------------------------------------
 
+def _decode(raw: bytes, name: str | Path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text at byte offset {exc.start}") from None
+
+
 def _parse_timestamp(text: str, lineno: int) -> np.datetime64:
     s = text.strip()
     if s.endswith(("Z", "z")):
@@ -193,8 +200,97 @@ def _parse_timestamp(text: str, lineno: int) -> np.datetime64:
         raise DataError(f"line {lineno}: unparseable timestamp {text!r}") from None
     if stamp.tzinfo is None:
         raise DataError(f"line {lineno}: timestamp {text!r} lacks a UTC offset")
-    stamp = stamp.astimezone(dt.timezone.utc).replace(tzinfo=None)
+    try:
+        stamp = stamp.astimezone(dt.timezone.utc).replace(tzinfo=None)
+    except OverflowError:
+        raise DataError(f"line {lineno}: timestamp {text!r} falls outside years 1-9999 "
+                        "in UTC") from None
     return np.datetime64(stamp, "us")
+
+
+# Canonical tick row: ``YYYY-MM-DDTHH:MM:SS±HH:MM,<price>``. The 18 digits sit
+# in fixed byte columns; the price starts at byte 26.
+_DIGIT_COLS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24])
+_SEPARATOR_COLS = np.array([4, 7, 10, 13, 16, 22, 25])
+_SEPARATORS = np.frombuffer(b"--T:::,", np.uint8)
+_SIGN_COL = 19
+_PRICE_COL = 26
+# bytes a canonical price may hold; 0 is the padding of shorter rows
+_PRICE_BYTES = np.zeros(256, dtype=bool)
+_PRICE_BYTES[list(b"\x000123456789.eE+-")] = True
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# rows per byte matrix, and the widest row it takes (a 38-byte price): with
+# both bounds a chunk's working arrays stay at a few MiB whatever the file
+_CHUNK_ROWS = 32_768
+_MAX_ROW_BYTES = 64
+
+
+def _canonical_chunk(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+    """UTC microseconds and prices of canonical rows, or None if a row is not
+    canonical, has an impossible date or time, or has an unparseable price."""
+    if max(map(len, rows)) > _MAX_ROW_BYTES:
+        return None
+    block = np.array(rows, dtype=bytes)
+    if block.itemsize <= _PRICE_COL:
+        return None
+    m = block.view(np.uint8).reshape(len(rows), block.itemsize)
+    digits = m[:, _DIGIT_COLS] - np.uint8(ord("0"))  # non-digits wrap above 9
+    sign = m[:, _SIGN_COL]
+    if ((digits > 9).any() or (m[:, _SEPARATOR_COLS] != _SEPARATORS).any()
+            or ((sign != ord("+")) & (sign != ord("-"))).any()
+            or not _PRICE_BYTES[m[:, _PRICE_COL:]].all()):
+        return None
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day, hour, minute, second, off_h, off_m = (d[:, 4::2] * 10 + d[:, 5::2]).T
+    # years 2-9998 keep a shift of up to 23:59 inside datetime's years 1-9999
+    if not (((2 <= year) & (year <= 9998) & (1 <= month) & (month <= 12)).all()
+            and (hour <= 23).all() and (minute <= 59).all() and (second <= 59).all()
+            and (off_h <= 23).all() and (off_m <= 59).all()):
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not ((1 <= day) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))).all():
+        return None
+    # days from 1970-01-01 by the days-from-civil algorithm (March-based years)
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    offset = (off_h * 3600 + off_m * 60) * np.where(sign == ord("+"), 1, -1)
+    seconds = ((era * 146_097 + doe - 719_468) * 24 + hour) * 3600 + minute * 60 + second
+    price_text = np.ascontiguousarray(m[:, _PRICE_COL:]).view(f"S{m.shape[1] - _PRICE_COL}")
+    try:
+        prices = price_text.ravel().astype(float)
+    except ValueError:
+        return None
+    return (seconds - offset) * 1_000_000, prices
+
+
+def _load_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps and prices of a tick CSV parsed in one array pass, or None
+    unless the header is exactly ``timestamp,price``, the text is ASCII with
+    ``\\n`` line ends and no NUL, every data row is canonical and would load,
+    and the timestamps never decrease. The arrays equal the per-line parser's."""
+    if not text.isascii() or "\r" in text or "\0" in text:
+        return None
+    header, _, body = text.encode("ascii").partition(b"\n")
+    rows = body.split(b"\n")
+    if rows[-1] == b"":
+        rows.pop()
+    if header.lower() != b"timestamp,price" or not rows:
+        return None
+    parts = []
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        part = _canonical_chunk(rows[lo:lo + _CHUNK_ROWS])
+        if part is None:
+            return None
+        parts.append(part)
+    us = np.concatenate([p[0] for p in parts])
+    prices = np.concatenate([p[1] for p in parts])
+    if not (np.isfinite(prices) & (prices > 0)).all() or (us[1:] < us[:-1]).any():
+        return None
+    last = np.append(us[1:] != us[:-1], True)  # duplicate instant: last price wins
+    return us[last].view("datetime64[us]"), prices[last]
 
 
 def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
@@ -202,13 +298,25 @@ def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
 
     Rows must be time-ordered; an out-of-order row is rejected with its line
     number. Rows sharing a timestamp are collapsed keeping the last price.
+    A file of canonical rows (``YYYY-MM-DDTHH:MM:SS±HH:MM,<price>``) is read
+    in one array pass; any other file row by row, with the same result.
     """
     if hasattr(source, "read"):
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = _decode(raw, getattr(source, "name", symbol)) if isinstance(raw, bytes) else raw
     else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = text.lstrip("﻿").splitlines()
+        text = _decode(Path(source).read_bytes(), source)
+    text = text.lstrip("﻿")
+    canonical = _load_canonical(text)
+    if canonical is not None:
+        return TickSeries(symbol, *canonical)
+    return _load_rows(text, symbol)
+
+
+def _load_rows(text: str, symbol: str) -> TickSeries:
+    """The per-line parser: reads every ISO-8601 form ``fromisoformat`` takes
+    and raises every tick-file error with its line number."""
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"{symbol}: empty input")
     header = lines[0].strip().lower()
@@ -447,7 +555,7 @@ def write_panel_csv(panel: VolatilityPanel, path: str | Path) -> None:
 
 
 def read_panel_csv(path: str | Path, transform_tag: str = "log") -> VolatilityPanel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _decode(Path(path).read_bytes(), path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty panel file")
     header = lines[0].split(",")

@@ -98,6 +98,22 @@ class TestRv:
         dates = [line.split(",")[0] for line in (out / "panel.csv").read_text().splitlines()[1:]]
         assert "2001-03-05" not in dates and len(dates) == 4
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00",
+                                       "9999-12-31T23:30:00-01:00"])
+    def test_utc_shift_out_of_range_is_data_error(self, stamp, tmp_path, capsys):
+        src = tmp_path / "EDGE.csv"
+        src.write_text(f"timestamp,price\n{stamp},50.0\n")
+        assert run(["rv", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("data error: line 2: ")
+
+    def test_non_utf8_ticks_are_data_error(self, tmp_path, capsys):
+        src = tmp_path / "BAD.csv"
+        raw = b"timestamp,price\n2001-03-05T10:00:00+00:00,5\xff\n"
+        src.write_bytes(raw)
+        assert run(["rv", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {src}: not UTF-8 text at byte offset {raw.index(0xff)}\n")
+
     def test_summary_stats_table_layout(self, tmp_path):
         run(["rv", *TICKS, "--symbols", "CO,HO", "--out", str(tmp_path)])
         lines = (tmp_path / "summary_stats.csv").read_text().splitlines()
@@ -192,6 +208,14 @@ class TestConnect:
 
     def test_missing_panel_is_data_error(self, tmp_path):
         assert run(["connect", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+
+    def test_non_utf8_panel_is_data_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        raw = b"date,A,B\n2001-01-01,1.0,\xff\n"
+        panel.write_bytes(raw)
+        assert run(["connect", str(panel), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {panel}: not UTF-8 text at byte offset {raw.index(0xff)}\n")
 
     def test_collinear_panel_is_numeric_error(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -293,7 +317,7 @@ class TestConfigResolution:
                     (out / "resolved_config.txt").read_text().splitlines() if " = " in line)
         assert echo["periods"] == "321"   # from file
         assert echo["seed"] == "9"        # flag wins
-        assert echo["window"] == "500"    # default
+        assert echo["htrunc"] == "100"    # default
         n_rows = len((out / "panel.csv").read_text().splitlines()) - 1
         assert n_rows == 321
 
@@ -328,7 +352,9 @@ class TestConfigResolution:
         out = tmp_path / "out"
         assert run(["synth", "--k", "2", "--periods", "120", "--config", str(cfg),
                     "--out", str(out)]) == 0
-        assert "window = 300" in (out / "resolved_config.txt").read_text().splitlines()
+        echo = (out / "resolved_config.txt").read_text().splitlines()
+        assert "k = 2" in echo
+        assert not any(line.startswith(("window", "spacing")) for line in echo)
 
 
 COMMANDS = ("rv", "fit", "connect", "roll", "synth")
@@ -364,6 +390,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_echo_keys_are_table_keys(self, command, tmp_path):
+        """The echo lists ``out`` and exactly the config keys the command reads."""
         (tmp_path / "holidays.txt").write_text("")
         (tmp_path / "events.csv").write_text("date,label\n")
         model = make_model(np.diag([0.5, 0.3]), np.eye(2))
@@ -382,8 +409,9 @@ class TestOptionTable:
         assert run([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 0
         keys = [line.split(" = ")[0]
                 for line in (out / "resolved_config.txt").read_text().splitlines()]
-        config_keys = {key for key, opt in _OPTIONS.items() if opt.type is not bool}
-        assert set(keys) - {"command", "input"} == config_keys | {"out"}
+        read_keys = {key for key, opt in _OPTIONS.items()
+                     if opt.type is not bool and command in opt.commands.split()}
+        assert set(keys) - {"command", "input"} == read_keys | {"out"}
 
 
 class TestRunLog:

@@ -1,10 +1,12 @@
 import datetime as dt
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from freqconn import ingest
 from freqconn.errors import DataError, NumericError, UsageError
 from freqconn.ingest import (
     CalendarRules,
@@ -22,6 +24,9 @@ from freqconn.ingest import (
     write_panel_csv,
 )
 from helpers import make_model
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def ticks_csv(rows):
@@ -72,6 +77,124 @@ class TestLoadTicks:
     def test_offset_normalized_to_utc(self):
         ts = load_ticks(ticks_csv(["2001-03-05T10:00:00+02:00,50.0"]), "CO")
         assert ts.timestamps[0] == np.datetime64("2001-03-05T08:00:00", "us")
+
+    def test_non_utf8_bytes_are_data_error(self):
+        raw = b"timestamp,price\n2001-03-05T10:00:00+00:00,5\xff\n"
+        offset = raw.index(0xff)
+        with pytest.raises(DataError, match=f"^CO: not UTF-8 text at byte offset {offset}$"):
+            load_ticks(io.BytesIO(raw), "CO")
+
+
+def outcome(parse, text):
+    """Arrays as bytes, or the DataError message, of one parse of ``text``."""
+    try:
+        ticks = parse(text)
+    except DataError as exc:
+        return "error", str(exc)
+    return ticks.timestamps.dtype, ticks.timestamps.tobytes(), ticks.prices.tobytes()
+
+
+def per_line(text):
+    return ingest._load_rows(text, "CO")
+
+
+def array_path(text):
+    return load_ticks(io.StringIO(text), "CO")
+
+
+ROW = "2001-03-05T10:00:00+00:00"
+
+
+def canonical_file(seed, n):
+    """Random time-ordered canonical rows around a year end, month ends and
+    two Feb 29s, with offsets that move the UTC day across midnight, and
+    every fifth instant written twice (with different offsets and prices)."""
+    rng = np.random.default_rng(seed)
+    epoch = dt.datetime(1970, 1, 1)
+    days = [dt.date(1999, 12, 31), dt.date(2000, 2, 29), dt.date(2003, 4, 30),
+            dt.date(2003, 12, 31), dt.date(2004, 2, 28), dt.date(2004, 2, 29),
+            dt.date(2100, 2, 28)]
+    utc = np.sort(np.concatenate([
+        (dt.datetime.combine(d, dt.time()) - epoch).days * 86_400
+        + rng.integers(-86_400, 2 * 86_400, n // len(days)) for d in days]))
+    utc = np.repeat(utc, np.where(np.arange(len(utc)) % 5 == 0, 2, 1))
+    rows = ["timestamp,price"]
+    for u in utc.tolist():
+        off = int(rng.integers(-1439, 1440))
+        local = epoch + dt.timedelta(seconds=u + off * 60)
+        sign = "+" if off >= 0 else "-"
+        price = float(rng.lognormal(3.0, 2.0))
+        rows.append(f"{local.isoformat()}{sign}{abs(off) // 60:02d}:{abs(off) % 60:02d},"
+                    f"{price!r}")
+    return "\n".join(rows) + "\n"
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_canonical_files_match_per_line_parser(self, seed, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)  # duplicates straddle chunk edges
+        text = canonical_file(seed, 700)
+        assert ingest._load_canonical(text) is not None
+        assert outcome(array_path, text) == outcome(per_line, text)
+
+    def test_duplicate_across_chunk_boundary_keeps_last_price(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        text = ("timestamp,price\n2004-02-29T23:00:00+00:00,1.0\n"
+                "2004-02-29T23:30:00+00:00,2.0\n2004-03-01T01:30:00+02:00,3.0\n")
+        assert ingest._load_canonical(text) is not None
+        ticks = array_path(text)
+        assert ticks.prices.tolist() == [1.0, 3.0]
+        assert outcome(array_path, text) == outcome(per_line, text)
+
+    @pytest.mark.parametrize("price", [
+        "1.", ".5", "1E-5", "+1", "1e", "e5", "1.2.3", "--1", "1e500", "0", "-0.0",
+        "nan", "inf", "1_0", " 1.0", "", "1.5\0", "1." + "0" * 100,
+    ])
+    def test_prices_match_per_line_parser(self, price):
+        text = f"timestamp,price\n{ROW},50.0\n2001-03-05T10:00:01+00:00,{price}\n"
+        assert outcome(array_path, text) == outcome(per_line, text)
+        if set(price) - set("0123456789.eE+-"):  # left to Python's float, whatever numpy accepts
+            assert ingest._load_canonical(text) is None
+
+    @pytest.mark.parametrize("rows", [
+        [f"{ROW},50.0", "", "2001-03-05T10:00:01+00:00,51.0"],
+        [f"{ROW},50.0,1"],
+        ["2001-03-05T10:00:00Z,50.0"],
+        ["2001-03-05T10:00:00.123456+00:00,50.0"],
+        ["2001-03-05 10:00:00+00:00,50.0"],
+        ["2001-03-05T10:00:00+24:00,50.0"],
+        ["2001-02-30T10:00:00+00:00,50.0"],
+        ["2001-03-05T24:00:00+00:00,50.0"],
+        ["2001-03-05T10:00:05+00:00,50.0", f"{ROW},51.0"],
+        ["2001-03-05T10:00:00-00:30,50.0", "2001-03-05T10:00:00+00:00,51.0"],
+        ["0001-01-01T00:30:00+01:00,50.0"],
+        ["9999-12-31T23:30:00-01:00,50.0"],
+        ["0000-01-01T10:00:00+00:00,50.0"],
+        ["2100-02-29T10:00:00+00:00,50.0"],
+        ["2001-13-05T10:00:00+00:00,50.0"],
+        ["2001-03-00T10:00:00+00:00,50.0"],
+        ["2001-03-05T10:60:00+00:00,50.0"],
+        ["2001-03-05T10:00:60+00:00,50.0"],
+        ["2001-03-05T10:00:00+05:60,50.0"],
+        ["2001-03-05T10:00:00+23:60,50.0"],
+    ])
+    def test_irregular_rows_match_per_line_parser(self, rows):
+        text = "timestamp,price\n" + "\n".join(rows) + "\n"
+        assert outcome(array_path, text) == outcome(per_line, text)
+
+    def test_overlong_row_goes_row_by_row(self):
+        text = f"timestamp,price\n{ROW},1.{'0' * 36}\n2001-03-05T10:00:01+00:00,1.{'0' * 37}\n"
+        assert ingest._load_canonical(text) is None  # a 39-byte price
+        assert ingest._load_canonical(text.replace("0" * 37, "0" * 36)) is not None
+        assert outcome(array_path, text) == outcome(per_line, text)
+
+    def test_fixtures_never_fall_back(self, monkeypatch):
+        def per_line_parser_called(*_):
+            raise AssertionError("per-line parser used")
+
+        monkeypatch.setattr(ingest, "_parse_timestamp", per_line_parser_called)
+        for path in sorted(DATA.glob("ticks_*.csv")):
+            assert len(load_ticks(path, path.stem)) > 1000
 
 
 class TestFilterCalendar:
