@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime as dt
+import io
 import logging
 import math
 import os
@@ -98,10 +99,14 @@ class _Parser(argparse.ArgumentParser):
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    try:
+        text = ingest._decode(Path(path).read_bytes(), f"config file {path!r}")
+    except OSError:
+        raise UsageError(f"config file {path!r} not found or unreadable") from None
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file {path!r} not found or unreadable")
+    parser.read_file(io.StringIO(text, newline=None), source=path)  # universal newlines
     if not parser.has_section("freqconn"):
         raise UsageError(f"config file {path!r} lacks a [freqconn] section")
     items = dict(parser.items("freqconn"))
@@ -231,7 +236,9 @@ def cmd_rv(args: argparse.Namespace) -> int:
         raise UsageError(f"duplicate symbols in {symbols}")
     holidays: list[dt.date] = []
     if cfg.get("holidays"):
-        for lineno, line in enumerate(Path(str(cfg["holidays"])).read_text().splitlines(), 1):
+        holidays_path = str(cfg["holidays"])
+        lines = ingest._decode(Path(holidays_path).read_bytes(), holidays_path).splitlines()
+        for lineno, line in enumerate(lines, 1):
             if line.strip():
                 try:
                     holidays.append(dt.date.fromisoformat(line.strip()))
@@ -246,11 +253,13 @@ def cmd_rv(args: argparse.Namespace) -> int:
         per_symbol: dict[str, list[tuple[dt.date, float]]] = {}
         for path, symbol in zip(tick_paths, symbols):
             ticks = ingest.load_ticks(path, symbol)
-            log.info("ticks_loaded symbol=%s rows=%d", symbol, len(ticks))
-            kept = ingest.filter_calendar(ticks, rules)
-            log.info("calendar_excluded symbol=%s rows=%d", symbol, len(ticks) - len(kept))
-            grids = ingest.resample_grid(kept, spacing=spacing, session=session)
+            rows = len(ticks)
+            log.info("ticks_loaded symbol=%s rows=%d", symbol, rows)
+            ticks = ingest.filter_calendar(ticks, rules)
+            log.info("calendar_excluded symbol=%s rows=%d", symbol, rows - len(ticks))
+            grids = ingest.resample_grid(ticks, spacing=spacing, session=session)
             daily = [(g.trading_day, ingest.bipower_variation(g)) for g in grids]
+            del ticks, grids  # freed before the next file is read
             log.info("rv_days symbol=%s days=%d", symbol, len(daily))
             lines = ["date,bpv"] + [f"{d.isoformat()},{float(v)!r}" for d, v in daily]
             (out / f"rv_{symbol}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -432,7 +441,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write_config_echo(cfg, out, "synth", [])
     with _RunLog(out):
         if cfg.get("model"):
-            model = varcore.model_from_text(Path(str(cfg["model"])).read_text(encoding="utf-8"))
+            path = str(cfg["model"])
+            model = varcore.model_from_text(ingest._decode(Path(path).read_bytes(), path))
         else:
             model = default_synth_model(int(cfg["k"]), int(cfg["lags"]))
         panel = ingest.synth_var_panel(model, int(cfg["periods"]), int(cfg["seed"]),

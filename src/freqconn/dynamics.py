@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError, NumericError, UsageError
 from .freqdomain import (DEFAULT_N_FREQ, BandSpec, _band_runs, _band_stack, _band_tables,
                          _spectral_lags)
-from .ingest import VolatilityPanel, simulate_var
+from .ingest import VolatilityPanel, _decode, simulate_var
 from .timedomain import _antisymmetry_faults, _dy_stack, _gfevd_stack, _table_faults
 from .varcore import (DEFAULT_TRUNCATION, VarModel, _fit_stack, _flag, _raise_fault,
                       _spectral_radius, _stable, _tail_warnings, _wold_stack, wold)
@@ -472,7 +472,7 @@ def annotate(result: RollingResult, events: EventGrid) -> RollingResult:
 
 
 def read_events_csv(path: str | Path) -> EventGrid:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _decode(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0].strip().lower() != "date,label":
         raise DataError(f"{path}: expected header 'date,label'")
     events = []

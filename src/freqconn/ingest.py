@@ -219,10 +219,12 @@ _PRICE_COL = 26
 _PRICE_BYTES = np.zeros(256, dtype=bool)
 _PRICE_BYTES[list(b"\x000123456789.eE+-")] = True
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-# rows per byte matrix, and the widest row it takes (a 38-byte price): with
-# both bounds a chunk's working arrays stay at a few MiB whatever the file
-_CHUNK_ROWS = 32_768
+# bytes of rows per parse window, and the widest row a window takes (a 38-byte
+# price): with both bounds a window's working arrays stay near 10 MiB whatever
+# the file
+_CHUNK_BYTES = 1 << 20
 _MAX_ROW_BYTES = 64
+_BOM = "\ufeff".encode()
 
 
 def _canonical_chunk(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -266,31 +268,44 @@ def _canonical_chunk(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     return (seconds - offset) * 1_000_000, prices
 
 
-def _load_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and prices of a tick CSV parsed in one array pass, or None
-    unless the header is exactly ``timestamp,price``, the text is ASCII with
-    ``\\n`` line ends and no NUL, every data row is canonical and would load,
-    and the timestamps never decrease. The arrays equal the per-line parser's."""
-    if not text.isascii() or "\r" in text or "\0" in text:
+def _load_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps and prices of a tick CSV's bytes, parsed one window of whole
+    rows at a time, or None unless, after any leading BOM, the header is
+    exactly ``timestamp,price``, the file is ASCII with ``\\n`` line ends and
+    no NUL, every data row is canonical and would load, and the timestamps
+    never decrease. The arrays equal the per-line parser's."""
+    lo = 0
+    while data.startswith(_BOM, lo):
+        lo += len(_BOM)
+    head = data.find(b"\n", lo)
+    end = len(data) - data.endswith(b"\n")
+    # every other byte of a row is checked in its column, and a non-ASCII or
+    # \r byte fails there; a NUL would pass as the padding of a short row
+    if (head < 0 or head + 1 >= end or data[lo:head].lower() != b"timestamp,price"
+            or data.find(b"\0", head) >= 0):
         return None
-    header, _, body = text.encode("ascii").partition(b"\n")
-    rows = body.split(b"\n")
-    if rows[-1] == b"":
-        rows.pop()
-    if header.lower() != b"timestamp,price" or not rows:
-        return None
-    parts = []
-    for lo in range(0, len(rows), _CHUNK_ROWS):
-        part = _canonical_chunk(rows[lo:lo + _CHUNK_ROWS])
+    n_rows = data.count(b"\n", head + 1, end) + 1
+    us = np.empty(n_rows, dtype=np.int64)
+    prices = np.empty(n_rows)
+    lo, n = head + 1, 0
+    while lo < end:  # each window ends at the first line end past the budget
+        hi = data.find(b"\n", lo + _CHUNK_BYTES - 1, end)
+        hi = end if hi < 0 else hi
+        part = _canonical_chunk(data[lo:hi].split(b"\n"))
         if part is None:
             return None
-        parts.append(part)
-    us = np.concatenate([p[0] for p in parts])
-    prices = np.concatenate([p[1] for p in parts])
+        rows = len(part[0])
+        us[n:n + rows], prices[n:n + rows] = part
+        lo, n = hi + 1, n + rows
+    # a window that ends on the last data row leaves a trailing blank row unread
+    if n != n_rows:
+        return None
     if not (np.isfinite(prices) & (prices > 0)).all() or (us[1:] < us[:-1]).any():
         return None
     last = np.append(us[1:] != us[:-1], True)  # duplicate instant: last price wins
-    return us[last].view("datetime64[us]"), prices[last]
+    if not last.all():
+        us, prices = us[last], prices[last]
+    return us.view("datetime64[us]"), prices
 
 
 def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
@@ -299,18 +314,21 @@ def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
     Rows must be time-ordered; an out-of-order row is rejected with its line
     number. Rows sharing a timestamp are collapsed keeping the last price.
     A file of canonical rows (``YYYY-MM-DDTHH:MM:SS±HH:MM,<price>``) is read
-    in one array pass; any other file row by row, with the same result.
+    from its bytes one window of rows at a time; any other file is decoded
+    and read row by row, with the same result.
     """
     if hasattr(source, "read"):
-        raw = source.read()
-        text = _decode(raw, getattr(source, "name", symbol)) if isinstance(raw, bytes) else raw
+        raw, name = source.read(), getattr(source, "name", symbol)
     else:
-        text = _decode(Path(source).read_bytes(), source)
-    text = text.lstrip("﻿")
-    canonical = _load_canonical(text)
-    if canonical is not None:
-        return TickSeries(symbol, *canonical)
-    return _load_rows(text, symbol)
+        raw, name = Path(source).read_bytes(), source
+    if isinstance(raw, str) and raw.isascii():  # only ASCII text can be canonical
+        raw = raw.encode("ascii")
+    canonical = _load_canonical(raw) if isinstance(raw, bytes) else None
+    if canonical is None:
+        text = _decode(raw, name) if isinstance(raw, bytes) else raw
+        return _load_rows(text.lstrip("\ufeff"), symbol)
+    del raw  # the series' own checks run without the file's bytes held
+    return TickSeries(symbol, *canonical)
 
 
 def _load_rows(text: str, symbol: str) -> TickSeries:
@@ -351,15 +369,23 @@ def _load_rows(text: str, symbol: str) -> TickSeries:
     return TickSeries(symbol, np.array(stamps, dtype="datetime64[us]"), np.array(prices))
 
 
+def _day_runs(timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The UTC days that hold ticks, and the index of each day's first tick:
+    timestamps are strictly increasing, so each day is one contiguous run."""
+    day = timestamps.astype("datetime64[D]")
+    first = np.append(0, np.flatnonzero(day[1:] != day[:-1]) + 1)
+    return day[first], first
+
+
 def filter_calendar(ticks: TickSeries, rules: CalendarRules) -> TickSeries:
     """Drop every observation falling on an excluded date; order preserved."""
-    uniq, day_of_tick = np.unique(ticks.timestamps.astype("datetime64[D]"), return_inverse=True)
-    keep_day = np.array([not rules.excludes(d) for d in uniq.astype(object)], dtype=bool)
-    mask = keep_day[day_of_tick]
-    if mask.all():
+    days, first = _day_runs(ticks.timestamps)
+    keep_day = np.array([not rules.excludes(d) for d in days.astype(object)], dtype=bool)
+    if keep_day.all():
         return ticks
-    if not mask.any():
+    if not keep_day.any():
         raise DataError(f"{ticks.symbol}: calendar rules exclude every observation")
+    mask = np.repeat(keep_day, np.diff(first, append=len(ticks)))
     return TickSeries(ticks.symbol, ticks.timestamps[mask], ticks.prices[mask])
 
 
@@ -391,8 +417,7 @@ def resample_grid(
         raise UsageError("grid spacing must divide the session length")
 
     offsets = np.arange(start_s, end_s + 1, step).astype("timedelta64[s]")
-    # timestamps are strictly increasing, so each day is one contiguous run
-    days, first = np.unique(ticks.timestamps.astype("datetime64[D]"), return_index=True)
+    days, first = _day_runs(ticks.timestamps)
     out: list[ReturnGrid] = []
     for day, lo, hi in zip(days, first, [*first[1:], len(ticks)]):
         ts = ticks.timestamps[lo:hi]

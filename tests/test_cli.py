@@ -114,6 +114,15 @@ class TestRv:
         assert capsys.readouterr().err == (
             f"data error: {src}: not UTF-8 text at byte offset {raw.index(0xff)}\n")
 
+    def test_non_utf8_holidays_are_data_error(self, tmp_path, capsys):
+        holidays = tmp_path / "holidays.txt"
+        raw = b"2001-03-05\n2001-03-0\xff\n"
+        holidays.write_bytes(raw)
+        assert run(["rv", *TICKS, "--holidays", str(holidays),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {holidays}: not UTF-8 text at byte offset {raw.index(0xff)}\n")
+
     def test_summary_stats_table_layout(self, tmp_path):
         run(["rv", *TICKS, "--symbols", "CO,HO", "--out", str(tmp_path)])
         lines = (tmp_path / "summary_stats.csv").read_text().splitlines()
@@ -128,6 +137,14 @@ class TestSynthAndFit:
                     "--out", str(tmp_path)]) == 0
         header = (tmp_path / "panel.csv").read_text().splitlines()[0]
         assert header == "date,V1,V2,V3"
+
+    def test_non_utf8_model_is_data_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        raw = model_to_text(make_model(np.diag([0.5, 0.3]), np.eye(2))).encode() + b"# \xff\n"
+        model_path.write_bytes(raw)
+        assert run(["synth", "--model", str(model_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {model_path}: not UTF-8 text at byte offset {raw.index(0xff)}\n")
 
     def test_truth_sidecar_diagonal_model_total_zero(self, tmp_path):
         model = make_model(np.diag([0.5, 0.3]), np.diag([1.0, 2.0]))
@@ -307,7 +324,27 @@ class TestRoll:
         assert "event: 1990-01-01 -> unplaced too early" in meta
 
 
+    def test_non_utf8_events_are_data_error(self, tmp_path, capsys):
+        run(["synth", "--k", "2", "--periods", "300", "--seed", "25", "--out", str(tmp_path)])
+        events = tmp_path / "events.csv"
+        raw = b"date,label\n2000-10-02,caf\xe9\n"
+        events.write_bytes(raw)
+        assert run(["roll", str(tmp_path / "panel.csv"), "--window", "250", "--step", "10",
+                    "--events", str(events), "--out", str(tmp_path / "roll")]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"data error: {events}: not UTF-8 text at byte offset {raw.index(0xe9)}\n")
+
+
 class TestConfigResolution:
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        raw = b"[freqconn]\nseed = 4\n# caf\xe9\n"
+        cfg.write_bytes(raw)
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"usage error: config file {str(cfg)!r}: not UTF-8 "
+                                           f"text at byte offset {raw.index(0xe9)}\n")
+
+
     def test_flags_beat_file_beats_defaults(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[freqconn]\nperiods = 321\nseed = 4\nk = 2\n")

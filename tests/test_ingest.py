@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +96,29 @@ def outcome(parse, text):
 
 
 def per_line(text):
-    return ingest._load_rows(text, "CO")
+    return ingest._load_rows(text.lstrip("\ufeff"), "CO")
 
 
 def array_path(text):
-    return load_ticks(io.StringIO(text), "CO")
+    return load_ticks(io.BytesIO(text.encode()), "CO")
+
+
+def canonical(text):
+    return ingest._load_canonical(text.encode())
+
+
+@pytest.fixture
+def window_rows(monkeypatch):
+    """Row count of every window the array path parses."""
+    counts = []
+    chunk = ingest._canonical_chunk
+
+    def counted(rows):
+        counts.append(len(rows))
+        return chunk(rows)
+
+    monkeypatch.setattr(ingest, "_canonical_chunk", counted)
+    return counts
 
 
 ROW = "2001-03-05T10:00:00+00:00"
@@ -131,30 +150,55 @@ def canonical_file(seed, n):
 
 class TestArrayPath:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_canonical_files_match_per_line_parser(self, seed, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)  # duplicates straddle chunk edges
+    def test_random_canonical_files_match_per_line_parser(self, seed, monkeypatch, window_rows):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 100)  # duplicates straddle window edges
         text = canonical_file(seed, 700)
-        assert ingest._load_canonical(text) is not None
+        assert canonical(text) is not None
+        assert max(window_rows) <= 4 and sum(window_rows) == text.count("\n") - 1
         assert outcome(array_path, text) == outcome(per_line, text)
 
-    def test_duplicate_across_chunk_boundary_keeps_last_price(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+    def test_duplicate_across_chunk_boundary_keeps_last_price(self, monkeypatch, window_rows):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 40)  # a window ends after row 2
         text = ("timestamp,price\n2004-02-29T23:00:00+00:00,1.0\n"
                 "2004-02-29T23:30:00+00:00,2.0\n2004-03-01T01:30:00+02:00,3.0\n")
-        assert ingest._load_canonical(text) is not None
+        assert canonical(text) is not None
+        assert window_rows == [2, 1]
         ticks = array_path(text)
         assert ticks.prices.tolist() == [1.0, 3.0]
         assert outcome(array_path, text) == outcome(per_line, text)
 
+    @pytest.mark.parametrize("text", [
+        f"timestamp,price\n{ROW},50.0\n2001-03-05T10:00:01+00:00,51.0",  # no final line end
+        f"\ufefftimestamp,price\n{ROW},50.0\n",
+        f"\ufeff\ufeffTimestamp,Price\n{ROW},50.0\n",
+    ])
+    def test_missing_final_line_end_and_bom_take_array_path(self, text):
+        assert canonical(text) is not None
+        assert outcome(array_path, text) == outcome(per_line, text)
+
+    @pytest.mark.parametrize("budget", [1 << 20, 40])  # 40: a window ends on the last row
+    @pytest.mark.parametrize("text", [
+        f"timestamp,price\n{ROW},50.0\n2001-03-05T10:00:01+00:00,51.0\n\n",
+        f"timestamp,price\n{ROW},50.0\n2001-03-05T10:00:01+00:00,51.0\n\n\n",
+        "timestamp,price\n\n",
+        "timestamp,price",
+        "",
+    ])
+    def test_trailing_blank_lines_and_empty_bodies_match_per_line_parser(self, text, budget,
+                                                                        monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", budget)
+        assert canonical(text) is None  # a blank row goes row by row
+        assert outcome(array_path, text) == outcome(per_line, text)
+
     @pytest.mark.parametrize("price", [
         "1.", ".5", "1E-5", "+1", "1e", "e5", "1.2.3", "--1", "1e500", "0", "-0.0",
-        "nan", "inf", "1_0", " 1.0", "", "1.5\0", "1." + "0" * 100,
+        "nan", "inf", "1_0", " 1.0", "", "1.5\0", "1." + "0" * 100, "1.5\r", "1.5\u00e9",
     ])
     def test_prices_match_per_line_parser(self, price):
         text = f"timestamp,price\n{ROW},50.0\n2001-03-05T10:00:01+00:00,{price}\n"
         assert outcome(array_path, text) == outcome(per_line, text)
         if set(price) - set("0123456789.eE+-"):  # left to Python's float, whatever numpy accepts
-            assert ingest._load_canonical(text) is None
+            assert canonical(text) is None
 
     @pytest.mark.parametrize("rows", [
         [f"{ROW},50.0", "", "2001-03-05T10:00:01+00:00,51.0"],
@@ -184,8 +228,8 @@ class TestArrayPath:
 
     def test_overlong_row_goes_row_by_row(self):
         text = f"timestamp,price\n{ROW},1.{'0' * 36}\n2001-03-05T10:00:01+00:00,1.{'0' * 37}\n"
-        assert ingest._load_canonical(text) is None  # a 39-byte price
-        assert ingest._load_canonical(text.replace("0" * 37, "0" * 36)) is not None
+        assert canonical(text) is None  # a 39-byte price
+        assert canonical(text.replace("0" * 37, "0" * 36)) is not None
         assert outcome(array_path, text) == outcome(per_line, text)
 
     def test_fixtures_never_fall_back(self, monkeypatch):
@@ -195,6 +239,27 @@ class TestArrayPath:
         monkeypatch.setattr(ingest, "_parse_timestamp", per_line_parser_called)
         for path in sorted(DATA.glob("ticks_*.csv")):
             assert len(load_ticks(path, path.stem)) > 1000
+
+    def test_peak_memory_grows_with_file_bytes_not_copies(self, tmp_path, monkeypatch):
+        """Doubling the rows adds less than twice the added file bytes to the
+        peak: the file's bytes, the 16-byte arrays per row and one window."""
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 4096)
+        start = np.datetime64("2003-11-17T00:00:00", "s")
+        sizes, peaks = [], []
+        for n in (20_000, 40_000):
+            stamps = np.datetime_as_string(start + np.arange(n) * 7).tolist()
+            prices = (25.0 + np.arange(n) * 1e-4).tolist()
+            path = tmp_path / f"ticks_{n}.csv"
+            path.write_text("timestamp,price\n" + "".join(
+                f"{s}+00:00,{p!r}\n" for s, p in zip(stamps, prices)))
+            tracemalloc.start()
+            try:
+                assert len(load_ticks(path, "CO")) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert peaks[1] - peaks[0] < 2 * (sizes[1] - sizes[0])
 
 
 class TestFilterCalendar:
@@ -239,6 +304,14 @@ class TestFilterCalendar:
         twice = filter_calendar(once, low_activity_rules())
         assert np.array_equal(once.prices, twice.prices)
         assert np.array_equal(once.timestamps, twice.timestamps)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_day_runs_match_unique_days(self, seed):
+        ticks = array_path(canonical_file(seed, 700))
+        days, first = ingest._day_runs(ticks.timestamps)
+        want_days, want_first = np.unique(ticks.timestamps.astype("datetime64[D]"),
+                                          return_index=True)
+        assert np.array_equal(days, want_days) and np.array_equal(first, want_first)
 
 
 def minute_ticks(pairs, day="2001-03-05"):
