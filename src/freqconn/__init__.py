@@ -24,8 +24,6 @@ from .freqdomain import (
     band_measures,
     band_table,
     days_to_band,
-    frequency_response,
-    spectral_density,
     spectral_gfevd,
 )
 from .ingest import (
@@ -44,7 +42,7 @@ from .ingest import (
     synth_var_panel,
     write_panel_csv,
 )
-from .timedomain import ConnectednessTable, DyMeasures, dy_measures, gfevd, girf
+from .timedomain import ConnectednessTable, DyMeasures, dy_measures, gfevd
 from .varcore import VarModel, WoldSequence, fit_var, stability, wold
 
 __version__ = "0.1.0"
@@ -57,9 +55,9 @@ __all__ = [
     "VolatilityPanel", "WoldSequence", "annotate", "band_measures",
     "band_table", "bipower_variation", "bootstrap_bands", "build_panel",
     "days_to_band", "dy_measures", "filter_calendar", "fit_var",
-    "frequency_response", "gfevd", "girf", "linear_trend", "load_ticks",
+    "gfevd", "linear_trend", "load_ticks",
     "low_activity_rules", "ratio_series", "read_panel_csv", "resample_grid",
-    "rolling_connectedness", "spectral_density", "spectral_gfevd",
+    "rolling_connectedness", "spectral_gfevd",
     "stability", "summary_stats", "synth_var_panel", "wold",
     "write_panel_csv",
 ]

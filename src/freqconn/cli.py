@@ -324,9 +324,9 @@ def cmd_connect(args: argparse.Namespace) -> int:
         (out / "connectedness_table.txt").write_text(table.to_text(), encoding="utf-8")
         dy_lines = [
             f"total: {float(dy.total)!r}",
-            "from: " + " ".join(repr(float(v)) for v in dy.from_others),
-            "to: " + " ".join(repr(float(v)) for v in dy.to_others),
-            "net: " + " ".join(repr(float(v)) for v in dy.net),
+            "from: " + varcore._fmt_matrix(dy.from_others),
+            "to: " + varcore._fmt_matrix(dy.to_others),
+            "net: " + varcore._fmt_matrix(dy.net),
             "variable_names: " + " ".join(table.variable_names),
         ]
         (out / "dy_measures.txt").write_text("\n".join(dy_lines) + "\n", encoding="utf-8")
@@ -362,6 +362,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
     _write_config_echo(cfg, out, "roll", [args.panel])
     with _RunLog(out):
         panel = _read_panel(args, cfg)
+        events = dynamics.read_events_csv(str(cfg["events"])) if cfg.get("events") else None
         bootstrap = None
         if int(cfg["boot"]) > 0:
             bootstrap = dynamics.BootstrapSpec(
@@ -380,8 +381,8 @@ def cmd_roll(args: argparse.Namespace) -> int:
             include_intercept=not args.no_intercept,
             bootstrap=bootstrap,
         )
-        if cfg.get("events"):
-            result = dynamics.annotate(result, dynamics.read_events_csv(str(cfg["events"])))
+        if events is not None:
+            result = dynamics.annotate(result, events)
             for mk in result.annotations:
                 log.info("event label=%r anchor=%s placed=%s", mk.label,
                          mk.anchor_date.isoformat() if mk.anchor_date else "none",

@@ -14,8 +14,7 @@ at truncation H they sum the MA terms psi_0..psi_{H-1}, as
 
 Standardization is global: band tables are normalized by the full-band row
 sums, which is what makes within-band tables additive across a partition
-and the reconstruction identity hold. The literal per-frequency row
-normalization is available as a diagnostic (``per_frequency_table``).
+and the reconstruction identity hold.
 
 Day/frequency convention: a movement with period D days lives at frequency
 ``pi / D`` radians, so "up to five days" is the band (pi/5, pi].
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError
-from .timedomain import ConnectednessTable, _dy_stack
-from .varcore import VarModel, WoldSequence, _flag, _raise_fault, stability
+from .errors import NumericError, UsageError
+from .timedomain import _dy_stack
+from .varcore import VarModel, WoldSequence, _flag, _fmt_matrix, _raise_fault, stability
 
 DEFAULT_N_FREQ = 512
 MIN_N_FREQ = 64
@@ -94,8 +93,7 @@ class SpectralGrid:
     ``numer_lags[g]`` and ``denom_lags[g]`` are the coefficients ``c_g`` of
     the cosine series ``c_0 + sum_g 2 c_g cos(g w)`` of ``sigma_jj**-1
     |(Psi(e^{-iw}) Sigma)_{ij}|^2`` and of the spectral-density diagonal.
-    :meth:`integrate` sums their cell averages over a band in closed form;
-    ``numerator`` and ``denominator`` are the same integral over each cell.
+    :func:`band_table` sums their cell averages over a band in closed form.
     """
 
     numer_lags: np.ndarray    # (H, k, k), already divided by sigma_jj
@@ -113,47 +111,6 @@ class SpectralGrid:
     def k(self) -> int:
         return self.numer_lags.shape[1]
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Right cell edges ``pi*m/n_freq``, m = 1..n_freq; the last is exactly pi."""
-        return _right_edges(self.n_freq)
-
-    @property
-    def numerator(self) -> np.ndarray:
-        """(n_freq, k, k) cell averages, built on each read."""
-        return self._integrals(np.arange(self.n_freq), np.arange(1, self.n_freq + 1))[0]
-
-    @property
-    def denominator(self) -> np.ndarray:
-        """(n_freq, k) cell averages, built on each read."""
-        return self._integrals(np.arange(self.n_freq), np.arange(1, self.n_freq + 1))[1]
-
-    def band_mask(self, band: BandSpec) -> np.ndarray:
-        return (self.frequencies > band.lower) & (self.frequencies <= band.upper)
-
-    def cells(self, band: BandSpec) -> np.ndarray:
-        """Indices of the band's cells, those whose right edge lies in (lower, upper]."""
-        lo, hi = _band_edges(band, self.n_freq)
-        return np.arange(lo, hi)
-
-    def integrate(self, band: BandSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator (k, k) and denominator (k,) summed over the band's cells."""
-        numer, denom = self._integrals(*_band_edges(band, self.n_freq))
-        return numer[0], denom[0]
-
-    def _integrals(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator and denominator summed over the cells from grid edge ``lo``
-        to ``hi``, one run per entry; negatives beyond roundoff raise, smaller
-        ones clip (scale taken over all runs)."""
-        weights, n_cells = _run_weights(lo, hi, self.numer_lags.shape[0], self.n_freq)
-        faults = [""]
-        numer = _clip_rows(_integrate(self.numer_lags[np.newaxis], weights, n_cells),
-                           "spectral numerator", faults)
-        denom = _clip_rows(_integrate(self.denom_lags[np.newaxis], weights, n_cells),
-                           "spectral denominator", faults)
-        _raise_fault(faults)
-        return numer[0], denom[0]
-
 
 def _check_n_freq(n_freq: int) -> None:
     if n_freq < MIN_N_FREQ:
@@ -167,14 +124,10 @@ def _band_runs(bands, h_trunc: int, n_freq: int) -> tuple[tuple[np.ndarray, np.n
     return tuple(_run_weights(*_band_edges(band, n_freq), h_trunc, n_freq) for band in bands)
 
 
-def _right_edges(n_freq: int) -> np.ndarray:
-    return np.pi * (np.arange(1, n_freq + 1) / n_freq)
-
-
 def _band_edges(band: BandSpec, n_freq: int) -> tuple[int, int]:
     """Grid edges (lo, hi) of the band's run of cells: cell m, with right edge
     pi*(m+1)/n_freq, belongs to the band when that edge lies in (lower, upper]."""
-    right = _right_edges(n_freq)
+    right = np.pi * (np.arange(1, n_freq + 1) / n_freq)
     cells = np.flatnonzero((right > band.lower) & (right <= band.upper))
     if cells.size == 0:
         raise UsageError(f"band {band.label} contains no grid points; increase n_freq "
@@ -236,25 +189,6 @@ class BandMeasures:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-# ---------------------------------------------------------------------------
-# frequency-response primitives
-# ---------------------------------------------------------------------------
-
-def frequency_response(wold_seq: WoldSequence, omega: float) -> np.ndarray:
-    """Truncated transfer function ``sum_h psi_h exp(-i h omega)`` (complex k x k)."""
-    if not 0.0 <= omega <= math.pi:
-        raise DataError(f"frequency {omega} outside [0, pi]")
-    h = np.arange(wold_seq.truncation + 1)
-    phases = np.exp(-1j * h * omega)
-    return np.tensordot(phases, wold_seq.psi, axes=1)
-
-
-def spectral_density(wold_seq: WoldSequence, sigma: np.ndarray, omega: float) -> np.ndarray:
-    """Spectral density ``Psi(e^{-iw}) Sigma Psi(e^{-iw})*`` at one frequency."""
-    f = frequency_response(wold_seq, omega)
-    return f @ np.asarray(sigma, dtype=float) @ f.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +282,6 @@ def _band_tables(numer_lags: np.ndarray, denom_lags: np.ndarray, n_freq: int,
     return unstd, std
 
 
-def unconditional_table(grid: SpectralGrid) -> ConnectednessTable:
-    """Full-band table (0, pi]; equals the time-domain GFEVD at horizon H,
-    which sums psi_0..psi_{H-1}."""
-    unstd, std = band_table(grid, BandSpec(0.0, math.pi))
-    return ConnectednessTable(theta=std, raw=unstd, horizon_tag="unconditional",
-                              variable_names=grid.variable_names)
-
-
-def per_frequency_table(grid: SpectralGrid, band: BandSpec) -> np.ndarray:
-    """Diagnostic: literal per-frequency row normalization, averaged over the
-    band's share of the grid. Not additive in a reconstruction-compatible
-    way; kept for comparison with the global standardization."""
-    cells = grid.cells(band)
-    numer, _ = grid._integrals(cells, cells + 1)
-    rows = numer.sum(axis=2, keepdims=True)
-    if (rows <= 0).any():
-        raise NumericError("zero row in per-frequency table")
-    return (numer / rows).sum(axis=0) / grid.n_freq
-
-
 def band_measures(grid: SpectralGrid, band: BandSpec) -> BandMeasures:
     """All connectedness measures on one band.
 
@@ -422,13 +336,13 @@ def band_measures_to_text(measures: BandMeasures) -> str:
         f"within_total: {float(m.within_total)!r}",
         f"gamma: {float(m.gamma)!r}",
         f"absolute_total: {float(m.absolute_total)!r}",
-        "within_from: " + " ".join(repr(float(v)) for v in m.within_from),
-        "within_to: " + " ".join(repr(float(v)) for v in m.within_to),
-        "within_net: " + " ".join(repr(float(v)) for v in m.within_net),
-        "absolute_from: " + " ".join(repr(float(v)) for v in m.absolute_from),
-        "absolute_to: " + " ".join(repr(float(v)) for v in m.absolute_to),
-        "within_table: " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in m.within_table),
-        "within_pairwise: " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in m.within_pairwise),
+        "within_from: " + _fmt_matrix(m.within_from),
+        "within_to: " + _fmt_matrix(m.within_to),
+        "within_net: " + _fmt_matrix(m.within_net),
+        "absolute_from: " + _fmt_matrix(m.absolute_from),
+        "absolute_to: " + _fmt_matrix(m.absolute_to),
+        "within_table: " + _fmt_matrix(m.within_table),
+        "within_pairwise: " + _fmt_matrix(m.within_pairwise),
     ]
     return "\n".join(lines) + "\n"
 

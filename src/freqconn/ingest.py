@@ -18,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class TickSeries:
             raise DataError("timestamps and prices must be 1-d arrays of equal length")
         if len(ts) == 0:
             raise DataError(f"{self.symbol}: empty tick series")
-        if len(ts) > 1 and not (np.diff(ts.astype("int64")) > 0).all():
+        us = ts.view("int64")
+        if not (us[1:] > us[:-1]).all():
             raise DataError(f"{self.symbol}: timestamps must be strictly increasing")
         if not (px > 0).all():
             raise DataError(f"{self.symbol}: all prices must be positive")
@@ -74,7 +75,6 @@ class ReturnGrid:
     symbol: str
     trading_day: dt.date
     returns: np.ndarray
-    grid_spacing: dt.timedelta = dt.timedelta(minutes=5)
 
     def __post_init__(self):
         r = np.asarray(self.returns, dtype=float)
@@ -308,8 +308,9 @@ def _load_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     return us.view("datetime64[us]"), prices
 
 
-def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
-    """Parse a tick CSV (header ``timestamp,price``) into a TickSeries.
+def load_ticks(source: str | Path | BinaryIO, symbol: str) -> TickSeries:
+    """Parse a tick CSV (header ``timestamp,price``), given as a path or a
+    binary stream, into a TickSeries.
 
     Rows must be time-ordered; an out-of-order row is rejected with its line
     number. Rows sharing a timestamp are collapsed keeping the last price.
@@ -321,12 +322,9 @@ def load_ticks(source: str | Path | IO, symbol: str) -> TickSeries:
         raw, name = source.read(), getattr(source, "name", symbol)
     else:
         raw, name = Path(source).read_bytes(), source
-    if isinstance(raw, str) and raw.isascii():  # only ASCII text can be canonical
-        raw = raw.encode("ascii")
-    canonical = _load_canonical(raw) if isinstance(raw, bytes) else None
+    canonical = _load_canonical(raw)
     if canonical is None:
-        text = _decode(raw, name) if isinstance(raw, bytes) else raw
-        return _load_rows(text.lstrip("\ufeff"), symbol)
+        return _load_rows(_decode(raw, name).lstrip("\ufeff"), symbol)
     del raw  # the series' own checks run without the file's bytes held
     return TickSeries(symbol, *canonical)
 
@@ -430,7 +428,7 @@ def resample_grid(
                         ticks.symbol, day)
             continue
         logp = np.log(px[idx[priced]])
-        out.append(ReturnGrid(ticks.symbol, day.astype(object), np.diff(logp), spacing))
+        out.append(ReturnGrid(ticks.symbol, day.astype(object), np.diff(logp)))
     return out
 
 

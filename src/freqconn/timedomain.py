@@ -1,5 +1,5 @@
-"""Generalized impulse responses, the horizon-H generalized forecast-error
-variance decomposition, and the classical connectedness measures built on it.
+"""The horizon-H generalized forecast-error variance decomposition and the
+classical connectedness measures built on it.
 
 Identification is generalized (order-invariant): shocks are one own standard
 deviation in size and never orthogonalized, so raw decomposition rows need
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
-from .varcore import VarModel, WoldSequence, _flag, _raise_fault
+from .errors import DataError
+from .varcore import VarModel, WoldSequence, _flag, _fmt_matrix, _raise_fault
 
 ROW_SUM_TOL = 1e-10
 
@@ -64,7 +64,7 @@ class ConnectednessTable:
             "format: freqconn-connectedness-table-v1",
             f"horizon: {self.horizon_tag}",
             "variable_names: " + " ".join(self.variable_names),
-            "theta: " + " ; ".join(" ".join(repr(float(v)) for v in row) for row in self.theta),
+            "theta: " + _fmt_matrix(self.theta),
         ]
         return "\n".join(lines) + "\n"
 
@@ -103,20 +103,6 @@ def _table_faults(theta: np.ndarray, faults: list[str]) -> None:
 def _antisymmetry_faults(pairwise: np.ndarray, faults: list[str]) -> None:
     _flag(faults, np.abs(pairwise + pairwise.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12,
           "pairwise matrix must be antisymmetric within 1e-12")
-
-
-def girf(model: VarModel, wold_seq: WoldSequence, j: int, h: int) -> np.ndarray:
-    """Generalized impulse response of all variables at horizon ``h`` to a
-    one-standard-deviation shock in variable ``j``:
-    ``sigma_jj**-0.5 * psi_h @ sigma @ e_j``."""
-    if not 0 <= h <= wold_seq.truncation:
-        raise DataError(f"horizon {h} outside 0..{wold_seq.truncation}")
-    if not 0 <= j < model.k:
-        raise DataError(f"variable index {j} outside 0..{model.k - 1}")
-    s_jj = model.sigma[j, j]
-    if s_jj <= 0:
-        raise NumericError(f"non-positive innovation variance for variable {j}")
-    return wold_seq.psi[h] @ model.sigma[:, j] / np.sqrt(s_jj)
 
 
 def gfevd(model: VarModel, wold_seq: WoldSequence, horizon: int) -> ConnectednessTable:

@@ -100,10 +100,6 @@ class VarModel:
         """The lag matrices as a one-model kernel stack (1, p, k, k)."""
         return np.stack(self.phi)[np.newaxis]
 
-    def companion(self) -> np.ndarray:
-        """(k p) x (k p) companion matrix of the lag polynomial."""
-        return _companion(self._phi_stack())[0]
-
     @property
     def spectral_radius(self) -> float:
         """Largest companion eigenvalue modulus, solved once at construction."""
@@ -276,7 +272,7 @@ def model_to_text(model: VarModel) -> str:
         f"p: {model.p}",
         f"n_obs: {model.n_obs}",
         "variable_names: " + " ".join(model.variable_names),
-        "intercept: " + " ".join(repr(float(v)) for v in model.intercept),
+        "intercept: " + _fmt_matrix(model.intercept),
     ]
     for j, m in enumerate(model.phi, start=1):
         lines.append(f"phi_{j}: " + _fmt_matrix(m))

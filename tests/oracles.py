@@ -1,7 +1,9 @@
 """Independent reference implementations used only as test oracles.
 
 Deliberately separate from the library code paths: MA terms come from
-companion-matrix powers and the decomposition sums are explicit loops.
+companion-matrix powers, the decomposition sums are explicit loops, and
+frequency-domain cell averages come from quadrature of the transfer
+function rather than from lag autocorrelations.
 """
 
 import numpy as np
@@ -61,3 +63,40 @@ def lyapunov_cov(phi1, sigma):
     k = sigma.shape[0]
     vec = np.linalg.solve(np.eye(k * k) - np.kron(phi1, phi1), sigma.reshape(-1))
     return vec.reshape(k, k)
+
+
+def frequency_response(psi, omega):
+    """Truncated transfer function ``sum_h psi_h exp(-i h omega)`` of MA terms
+    ``psi`` (H, k, k) at a frequency or an array of them: (..., k, k) complex."""
+    psi = np.asarray(psi, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(omega, np.arange(len(psi))))
+    return np.tensordot(phases, psi, axes=1)
+
+
+def spectral_density(psi, sigma, omega):
+    """Spectral density ``Psi(e^{-iw}) Sigma Psi(e^{-iw})*`` at ``omega``."""
+    f = frequency_response(psi, omega)
+    return f @ np.asarray(sigma, dtype=float) @ np.conj(np.swapaxes(f, -1, -2))
+
+
+def band_mask(band, n_freq):
+    """Cells of the ``n_freq`` equal cells of (0, pi] whose right edge lies in
+    the band's (lower, upper]."""
+    right = np.pi * np.arange(1, n_freq + 1) / n_freq
+    return (right > band.lower) & (right <= band.upper)
+
+
+def cell_averages(model, psi, n_freq, nodes=8):
+    """Averages over each of the ``n_freq`` equal cells of (0, pi] of the
+    GFEVD numerator ``sigma_jj^-1 |(Psi(e^{-iw}) Sigma)_ij|^2`` (n_freq, k, k)
+    and of the spectral-density diagonal ``diag(Psi Sigma Psi*)`` (n_freq, k),
+    with Psi summing the MA terms ``psi`` (psi_0..psi_{H-1}). Each cell is
+    integrated by Gauss-Legendre quadrature on ``nodes`` points."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    width = np.pi / n_freq
+    omega = width * (np.arange(n_freq)[:, np.newaxis] + 0.5 + 0.5 * x)   # (n_freq, nodes)
+    sigma = np.asarray(model.sigma, dtype=float)
+    numer = np.abs(frequency_response(psi, omega) @ sigma) ** 2 / np.diag(sigma)
+    denom = np.diagonal(spectral_density(psi, sigma, omega), axis1=-2, axis2=-1).real
+    # the mean over a cell is half the Gauss-Legendre sum on [-1, 1]
+    return np.tensordot(w / 2, numer, axes=(0, 1)), np.tensordot(w / 2, denom, axes=(0, 1))

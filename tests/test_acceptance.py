@@ -23,20 +23,21 @@ from freqconn.dynamics import (
 from freqconn.freqdomain import (
     BandSpec,
     band_measures,
+    band_table,
     days_to_band,
     spectral_gfevd,
-    unconditional_table,
 )
 from freqconn.ingest import ReturnGrid, bipower_variation, synth_var_panel
 from freqconn.timedomain import dy_measures, gfevd
 from freqconn.varcore import fit_var, wold
 from helpers import make_model, model_fleet, white_noise_model
-from oracles import direct_gfevd
+from oracles import band_mask, direct_gfevd
 
 DATA = Path(__file__).parent / "data"
 H_TRUNC = 100
 N_FREQ = 512
 PAPER_BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
+FULL_BAND = BandSpec(0.0, math.pi)
 TOTAL = measure_ids(("V1", "V2", "V3"), ()).index("total")
 
 
@@ -121,13 +122,13 @@ def test_criterion_03_oracle_equivalence():
     for model in HAND_MODELS:
         seq = wold(model, H_TRUNC)
         grid = spectral_gfevd(model, seq, N_FREQ)
-        table = unconditional_table(grid).theta
+        _, table = band_table(grid, FULL_BAND)
         oracle = direct_gfevd(model.phi, model.sigma, H_TRUNC)
         worst = max(worst, float(np.abs(table - oracle).max()))
     elapsed = time.perf_counter() - start
     # worked example: white noise with rho = 0.5 decomposes rows as (0.8, 0.2)
     worked = HAND_MODELS[0]
-    table = unconditional_table(spectral_gfevd(worked, wold(worked, H_TRUNC), N_FREQ)).theta
+    _, table = band_table(spectral_gfevd(worked, wold(worked, H_TRUNC), N_FREQ), FULL_BAND)
     assert table[0] == pytest.approx([0.8, 0.2], abs=1e-12)
     assert worst < 1e-12
     assert elapsed < 5.0
@@ -167,10 +168,10 @@ def test_criterion_05_flat_spectrum_proportionality():
     for sigma in sigmas:
         model = white_noise_model(sigma)
         grid = spectral_gfevd(model, wold(model, H_TRUNC), N_FREQ)
-        full = unconditional_table(grid).theta
+        _, full = band_table(grid, FULL_BAND)
         for band in bands:
             bm = band_measures(grid, band)
-            share = float(grid.band_mask(band).mean())
+            share = float(band_mask(band, N_FREQ).mean())
             worst_table = max(worst_table, float(np.abs(bm.within_table - full).max()))
             worst_gamma = max(worst_gamma, abs(bm.gamma - share))
     assert worst_table < 1e-12

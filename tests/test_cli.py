@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freqconn import dynamics
 from freqconn.cli import (
     _OPTIONS,
     build_parser,
@@ -333,6 +334,19 @@ class TestRoll:
                     "--events", str(events), "--out", str(tmp_path / "roll")]) == 2
         assert capsys.readouterr().err.endswith(
             f"data error: {events}: not UTF-8 text at byte offset {raw.index(0xe9)}\n")
+
+    def test_bad_events_header_fails_before_any_window(self, tmp_path, capsys, monkeypatch):
+        run(["synth", "--k", "2", "--periods", "300", "--seed", "25", "--out", str(tmp_path)])
+        events = tmp_path / "events.csv"
+        events.write_text("date,labl\n2000-10-02,shock one\n")
+        calls = []
+        monkeypatch.setattr(dynamics, "rolling_connectedness",
+                            lambda *args, **kwargs: calls.append(args))
+        assert run(["roll", str(tmp_path / "panel.csv"), "--window", "250", "--step", "10",
+                    "--events", str(events), "--out", str(tmp_path / "roll")]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"data error: {events}: expected header 'date,label'\n")
+        assert calls == []
 
 
 class TestConfigResolution:

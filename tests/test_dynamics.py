@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from freqconn import dynamics
+from freqconn import dynamics, freqdomain
 from freqconn.cli import default_synth_model
 from freqconn.dynamics import (
     BootstrapSpec,
@@ -25,7 +25,7 @@ from freqconn.dynamics import (
     rolling_meta_text,
 )
 from freqconn.errors import DataError, NumericError, UsageError
-from freqconn.freqdomain import SpectralGrid, days_to_band
+from freqconn.freqdomain import days_to_band
 from freqconn.ingest import VolatilityPanel, simulate_var, synth_var_panel
 from freqconn.varcore import fit_var, fit_var_values, wold
 from helpers import make_model
@@ -343,11 +343,15 @@ class TestBatchedStep:
 
 class TestMeasurePath:
     def test_builds_no_per_cell_arrays(self, monkeypatch):
-        def per_cell(self):
-            raise AssertionError("per-cell spectral array built on the measure path")
+        # a band integrates in closed form as one run of cells; integrating
+        # cell by cell would pass one run per cell
+        integrate, runs = freqdomain._integrate, []
 
-        monkeypatch.setattr(SpectralGrid, "numerator", property(per_cell))
-        monkeypatch.setattr(SpectralGrid, "denominator", property(per_cell))
+        def one_run(lags, weights, n_cells):
+            runs.append(len(n_cells))
+            return integrate(lags, weights, n_cells)
+
+        monkeypatch.setattr(freqdomain, "_integrate", one_run)
         bands = tuple(days_to_band(a, b) for a, b in [(1, 5), (5, 20), (20, 60), (60, math.inf)])
         _, panel = small_panel(n=560)
         fit = fit_var(panel, 1)
@@ -356,6 +360,7 @@ class TestMeasurePath:
         assert rolled.n_windows == 3 and not rolled.gaps
         lo, hi = bootstrap_bands(fit, 500, bands=bands, replications=100, seed=2)
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert runs and set(runs) == {1}, "per-cell spectral array built on the measure path"
 
 
 class TestRatioSeries:

@@ -6,23 +6,23 @@ import pytest
 from freqconn.errors import NumericError, UsageError
 from freqconn.freqdomain import (
     SpectralGrid,
+    _band_runs,
     _clip_rows,
+    _integrate,
     BandSpec,
     band_measures,
     band_table,
     days_to_band,
-    frequency_response,
     is_partition,
-    per_frequency_table,
-    spectral_density,
     spectral_gfevd,
-    unconditional_table,
 )
 from freqconn.timedomain import dy_measures, gfevd
 from freqconn.varcore import wold
 from helpers import make_model, model_fleet, random_stable_var, white_noise_model
+from oracles import band_mask, cell_averages, frequency_response, spectral_density
 
 PAPER_BANDS = (days_to_band(1, 5), days_to_band(5, math.inf))
+FULL_BAND = BandSpec(0.0, math.pi)
 
 
 def random_partition(n_bands, seed):
@@ -70,22 +70,23 @@ class TestBandSpec:
         assert not is_partition((BandSpec(0.0, 1.0), BandSpec(1.5, math.pi)))
 
 
+# the quadrature oracle's own checks: closed forms guard the guard
 class TestFrequencyResponse:
     def test_zero_frequency_is_long_run_sum(self):
         model = random_stable_var(2, 1, seed=51, target_radius=0.6)
         seq = wold(model, 100)
-        f0 = frequency_response(seq, 0.0)
+        f0 = frequency_response(seq.psi, 0.0)
         assert np.abs(f0.imag).max() == 0.0
         assert f0.real == pytest.approx(seq.psi.sum(axis=0), abs=1e-12)
 
     def test_white_noise_is_identity_everywhere(self):
         seq = wold(white_noise_model(np.eye(2)), 50)
         for omega in (0.1, 1.0, math.pi):
-            assert frequency_response(seq, omega) == pytest.approx(np.eye(2), abs=1e-15)
+            assert frequency_response(seq.psi, omega) == pytest.approx(np.eye(2), abs=1e-15)
 
     def test_alternating_geometric_series_at_pi(self):
         seq = wold(make_model(0.5 * np.eye(2), np.eye(2)), 100)
-        response = frequency_response(seq, math.pi)
+        response = frequency_response(seq.psi, math.pi)
         assert np.abs(response - (2.0 / 3.0) * np.eye(2)).max() < 1e-15
 
 
@@ -93,7 +94,7 @@ class TestSpectralDensity:
     def test_white_noise_flat_identity(self):
         seq = wold(white_noise_model(np.eye(2)), 50)
         for omega in (0.2, 1.5, 3.0):
-            s = spectral_density(seq, np.eye(2), omega)
+            s = spectral_density(seq.psi, np.eye(2), omega)
             assert s == pytest.approx(np.eye(2), abs=1e-14)
 
     def test_ar1_closed_form_spectrum(self):
@@ -102,7 +103,7 @@ class TestSpectralDensity:
         model = make_model(np.array([[0.5]]), np.array([[1.0]]))
         seq = wold(model, 100)
         for omega in (0.0, 0.3, 1.0, 2.0, math.pi):
-            s = spectral_density(seq, model.sigma, omega)[0, 0]
+            s = spectral_density(seq.psi, model.sigma, omega)[0, 0]
             assert s.imag == pytest.approx(0.0, abs=1e-14)
             assert s.real == pytest.approx(ar1_spectrum(0.5, 1.0, omega), abs=1e-12)
 
@@ -110,34 +111,58 @@ class TestSpectralDensity:
         model = random_stable_var(3, 2, seed=52)
         seq = wold(model, 100)
         for omega in (0.4, 2.2):
-            s = spectral_density(seq, model.sigma, omega)
+            s = spectral_density(seq.psi, model.sigma, omega)
             assert np.abs(s - s.conj().T).max() < 1e-12
             assert (np.diag(s).real >= -1e-12).all()
+
+
+class TestCellAverages:
+    def test_ar1_cell_averages_match_closed_form_integral(self):
+        # the AR(1) spectrum 1/(1 - 2 phi cos w + phi^2) has the antiderivative
+        # 2/(1 - phi^2) atan((1 + phi)/(1 - phi) tan(w/2)) on [0, pi)
+        phi, n_freq = 0.5, 16
+        model = make_model(np.array([[phi]]), np.array([[1.0]]))
+        numer, denom = cell_averages(model, wold(model, 100).psi[:-1], n_freq)
+        edges = math.pi * np.arange(n_freq + 1) / n_freq
+        half = np.tan(edges / 2)
+        half[-1] = np.inf
+        antider = 2 / (1 - phi**2) * np.arctan((1 + phi) / (1 - phi) * half)
+        expected = np.diff(antider) / (math.pi / n_freq)
+        assert np.abs(denom[:, 0] / expected - 1).max() < 1e-12
+        assert np.abs(numer[:, 0, 0] / expected - 1).max() < 1e-12
 
 
 class TestSpectralGfevd:
     def test_diagonal_system_has_no_cross_terms(self):
         model = make_model(np.diag([0.5, 0.3]), np.diag([1.0, 2.0]))
-        grid = spectral_gfevd(model, wold(model, 100), 64)
-        off = grid.numerator[:, ~np.eye(2, dtype=bool)]
-        assert np.abs(off).max() == 0.0
+        seq = wold(model, 100)
+        grid = spectral_gfevd(model, seq, 64)
+        off = ~np.eye(2, dtype=bool)
+        assert np.abs(cell_averages(model, seq.psi[:-1], 64)[0][:, off]).max() == 0.0
+        for band in (FULL_BAND, *PAPER_BANDS):
+            assert np.abs(band_table(grid, band)[0][off]).max() == 0.0
 
     def test_white_noise_constant_across_frequencies(self):
         model = white_noise_model([[1.0, 0.5], [0.5, 1.0]])
-        grid = spectral_gfevd(model, wold(model, 100), 128)
-        assert np.abs(grid.numerator - grid.numerator[0]).max() < 1e-14
-        assert np.abs(grid.denominator - grid.denominator[0]).max() < 1e-14
+        seq = wold(model, 100)
+        grid = spectral_gfevd(model, seq, 128)
+        numer, denom = cell_averages(model, seq.psi[:-1], 128)
+        assert np.abs(numer - numer[0]).max() < 1e-14
+        assert np.abs(denom - denom[0]).max() < 1e-14
+        # a cosine series with no term beyond c_0 is flat
+        assert np.abs(grid.numer_lags[1:]).max() < 1e-14
+        assert np.abs(grid.denom_lags[1:]).max() < 1e-14
 
     def test_parseval_reproduces_time_domain_gfevd(self):
         model = make_model([[0.5, 0.2], [0.1, 0.5]], np.eye(2))
         seq = wold(model, 100)
-        grid = spectral_gfevd(model, seq, 512)
-        numer = grid.numerator.mean(axis=0)
-        denom = grid.denominator.mean(axis=0)
-        ratio = numer / denom[:, None]
+        numer, denom = cell_averages(model, seq.psi[:-1], 512)
+        ratio = numer.mean(axis=0) / denom.mean(axis=0)[:, None]
         table = ratio / ratio.sum(axis=1, keepdims=True)
         expected = gfevd(model, seq, 100).theta
         assert np.abs(table - expected).max() < 1e-12
+        _, std = band_table(spectral_gfevd(model, seq, 512), FULL_BAND)
+        assert np.abs(std - expected).max() < 1e-12
 
     def test_unstable_model_rejected(self):
         model = make_model(np.eye(2), np.eye(2))
@@ -157,8 +182,6 @@ class TestBandTable:
         grid = spectral_gfevd(model, wold(model, 100), 256)
         _, std = band_table(grid, BandSpec(0.0, math.pi))
         assert np.abs(std.sum(axis=1) - 1.0).max() < 1e-12
-        table = unconditional_table(grid)
-        assert np.array_equal(table.theta, std)
 
     def test_complementary_bands_add_to_unconditional(self):
         model = random_stable_var(2, 2, seed=54)
@@ -173,9 +196,9 @@ class TestBandTable:
         model = white_noise_model([[1.0, 0.5], [0.5, 1.0]])
         grid = spectral_gfevd(model, wold(model, 100), 512)
         band = days_to_band(1, 5)
-        share = grid.band_mask(band).mean()
+        share = band_mask(band, 512).mean()
         _, std = band_table(grid, band)
-        full = unconditional_table(grid).theta
+        _, full = band_table(grid, FULL_BAND)
         assert np.abs(std - share * full).max() < 1e-12
         assert share == pytest.approx(0.8, abs=2e-3)
 
@@ -183,7 +206,7 @@ class TestBandTable:
         model = white_noise_model([[1.0, 0.5], [0.5, 1.0]])
         grid = spectral_gfevd(model, wold(model, 100), 640)  # pi/5 aligns: 640/5
         _, std = band_table(grid, days_to_band(1, 5))
-        full = unconditional_table(grid).theta
+        _, full = band_table(grid, FULL_BAND)
         assert np.abs(std - 0.8 * full).max() < 1e-12
 
     def test_empty_band_suggests_larger_grid(self):
@@ -196,12 +219,13 @@ class TestBandTable:
 class TestBandMeasures:
     def test_diagonal_system_zero_everywhere(self):
         model = make_model(np.diag([0.5, 0.3, 0.2]), np.diag([1.0, 2.0, 0.5]))
-        grid = spectral_gfevd(model, wold(model, 100), 128)
+        seq = wold(model, 100)
+        grid = spectral_gfevd(model, seq, 128)
+        # gamma is the band's share of each variable's own spectrum
+        own = np.einsum("mii->mi", cell_averages(model, seq.psi[:-1], 128)[0])
         for band in PAPER_BANDS:
             bm = band_measures(grid, band)
-            mask = grid.band_mask(band)
-            # gamma is the band's share of each variable's own spectrum
-            own = np.einsum("mii->mi", grid.numerator)
+            mask = band_mask(band, 128)
             spectral_share = (own[mask].sum(axis=0) / own.sum(axis=0)).mean()
             assert abs(bm.within_total) < 1e-12
             assert np.abs(bm.within_from).max() < 1e-12
@@ -258,7 +282,7 @@ class TestBandMeasures:
     def test_white_noise_within_table_equals_unconditional(self):
         model = white_noise_model([[1.0, 0.3], [0.3, 1.0]])
         grid = spectral_gfevd(model, wold(model, 100), 512)
-        full = unconditional_table(grid).theta
+        _, full = band_table(grid, FULL_BAND)
         for band in PAPER_BANDS:
             bm = band_measures(grid, band)
             assert np.abs(bm.within_table - full).max() < 1e-12
@@ -334,7 +358,8 @@ class TestDegenerateBand:
 
 
 class TestClosedFormIntegral:
-    """Band integrals against sums of per-cell averages on persistent VARs."""
+    """Closed-form band integrals against sums of the quadrature oracle's
+    per-cell averages on persistent VARs."""
 
     FLEET = [random_stable_var(k, p, seed=800 + 10 * k + p, target_radius=radius)
              for k, p, radius in [(2, 1, 0.99), (2, 2, 0.97), (3, 1, 0.98),
@@ -352,17 +377,23 @@ class TestClosedFormIntegral:
     def test_band_integrals_match_cell_sums(self, n_freq, partition):
         bands = [days_to_band(a, b) for a, b in self.PARTITIONS[partition]]
         for model in self.FLEET:
-            grid = spectral_gfevd(model, wold(model, 100), n_freq)
-            numer, denom = grid.numerator, grid.denominator
-            full_num, full_den = grid.integrate(BandSpec(0.0, math.pi))
-            sum_num, sum_den = 0.0, 0.0
+            seq = wold(model, 100)
+            grid = spectral_gfevd(model, seq, n_freq)
+            numer, denom = cell_averages(model, seq.psi[:-1], n_freq)
+            full_den = denom.sum(axis=0)
+            full_unstd, _ = band_table(grid, FULL_BAND)
+            assert self.rel(full_unstd, numer.sum(axis=0) / full_den[:, None]) < 1e-12
+            sum_unstd, sum_den = 0.0, 0.0
             for band in bands:
-                mask = grid.band_mask(band)
-                band_num, band_den = grid.integrate(band)
-                assert self.rel(band_num, numer[mask].sum(axis=0)) < 1e-12
+                mask = band_mask(band, n_freq)
+                unstd, _ = band_table(grid, band)
+                # band_table checks the band's denominator integral, then drops it
+                band_den = _integrate(grid.denom_lags[np.newaxis],
+                                      *_band_runs([band], 100, n_freq)[0])[0, 0]
+                assert self.rel(unstd, numer[mask].sum(axis=0) / full_den[:, None]) < 1e-12
                 assert self.rel(band_den, denom[mask].sum(axis=0)) < 1e-12
-                sum_num, sum_den = sum_num + band_num, sum_den + band_den
-            assert self.rel(sum_num, full_num) < 1e-12
+                sum_unstd, sum_den = sum_unstd + unstd, sum_den + band_den
+            assert self.rel(sum_unstd, full_unstd) < 1e-12
             assert self.rel(sum_den, full_den) < 1e-12
 
     def test_reconstruction_exact_on_persistent_fleet(self):
@@ -378,20 +409,4 @@ class TestClosedFormIntegral:
                 from_sum = sum(m.absolute_from for m in measures)
                 assert residual <= 1e-12, (model.k, residual)
                 assert np.abs(from_sum - dy.from_others).max() <= 1e-12
-
-
-class TestPerFrequencyDiagnostic:
-    def test_full_band_rows_sum_to_one(self):
-        model = random_stable_var(2, 1, seed=59)
-        grid = spectral_gfevd(model, wold(model, 100), 256)
-        table = per_frequency_table(grid, BandSpec(0.0, math.pi))
-        assert np.abs(table.sum(axis=1) - 1.0).max() < 1e-12
-
-    def test_differs_from_global_standardization_under_dynamics(self):
-        model = make_model([[0.8, 0.1], [0.0, 0.2]], np.eye(2))
-        grid = spectral_gfevd(model, wold(model, 100), 256)
-        band = days_to_band(1, 5)
-        _, global_std = band_table(grid, band)
-        literal = per_frequency_table(grid, band)
-        assert np.abs(global_std - literal).max() > 1e-4
 

@@ -12,6 +12,7 @@ from freqconn.errors import DataError, NumericError, UsageError
 from freqconn.ingest import (
     CalendarRules,
     ReturnGrid,
+    TickSeries,
     bipower_variation,
     build_panel,
     filter_calendar,
@@ -31,7 +32,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def ticks_csv(rows):
-    return io.StringIO("timestamp,price\n" + "\n".join(rows) + "\n")
+    return io.BytesIO(("timestamp,price\n" + "\n".join(rows) + "\n").encode())
 
 
 class TestLoadTicks:
@@ -68,7 +69,7 @@ class TestLoadTicks:
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="empty|no data"):
-            load_ticks(io.StringIO("timestamp,price\n"), "CO")
+            load_ticks(io.BytesIO(b"timestamp,price\n"), "CO")
 
     def test_crlf_and_zulu_accepted(self):
         raw = io.BytesIO(b"timestamp,price\r\n2001-03-05T10:00:00Z,50.0\r\n")
@@ -84,6 +85,42 @@ class TestLoadTicks:
         offset = raw.index(0xff)
         with pytest.raises(DataError, match=f"^CO: not UTF-8 text at byte offset {offset}$"):
             load_ticks(io.BytesIO(raw), "CO")
+
+    @pytest.mark.parametrize("body", [
+        None,  # the CO fixture, canonical rows
+        b"timestamp,price\r\n2001-03-05T10:00:00+02:00,50.0\r\n2001-03-05T10:00:01Z,50.5\r\n",
+    ])
+    def test_path_and_binary_stream_parse_alike(self, body, tmp_path):
+        path = DATA / "ticks_CO.csv"
+        if body is not None:
+            path = tmp_path / "ticks.csv"
+            path.write_bytes(body)
+        from_path = load_ticks(path, "CO")
+        with open(path, "rb") as fh:
+            from_stream = load_ticks(fh, "CO")
+        assert from_path.timestamps.tobytes() == from_stream.timestamps.tobytes()
+        assert from_path.prices.tobytes() == from_stream.prices.tobytes()
+
+
+class TestTickSeries:
+    def test_repeated_timestamp_rejected(self):
+        ts = np.array(["2001-03-05T10:00", "2001-03-05T10:00"], dtype="datetime64[us]")
+        with pytest.raises(DataError, match="strictly increasing"):
+            TickSeries("CO", ts, np.array([50.0, 51.0]))
+
+    def test_order_check_copies_no_timestamps(self):
+        # the checks allocate boolean masks only, about 2 bytes a row; a copy
+        # of the int64 timestamps would add 8 or more
+        n = 200_000
+        ts = np.datetime64("2001-03-05T00:00", "us") + np.arange(n).astype("timedelta64[s]")
+        prices = np.full(n, 50.0)
+        tracemalloc.start()
+        try:
+            TickSeries("CO", ts, prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n
 
 
 def outcome(parse, text):

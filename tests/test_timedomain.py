@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqconn.errors import DataError, NumericError
-from freqconn.timedomain import ConnectednessTable, dy_measures, gfevd, girf
+from freqconn.timedomain import ConnectednessTable, dy_measures, gfevd
 from freqconn.varcore import wold
 from helpers import make_model, model_fleet, random_stable_var, white_noise_model
 
@@ -11,35 +11,6 @@ def table_of(theta, names=None):
     theta = np.asarray(theta, dtype=float)
     names = names or tuple(f"V{i + 1}" for i in range(theta.shape[0]))
     return ConnectednessTable(theta=theta, raw=theta, horizon_tag=1, variable_names=names)
-
-
-class TestGirf:
-    def test_identity_sigma_gives_unit_vector(self):
-        model = white_noise_model(np.eye(3))
-        seq = wold(model, 10)
-        for j in range(3):
-            expected = np.zeros(3)
-            expected[j] = 1.0
-            assert girf(model, seq, j, 0) == pytest.approx(expected, abs=1e-15)
-
-    def test_one_std_shock_scaling(self):
-        # sigma = diag(4, 1): a one-std shock to variable 0 moves it by 2
-        model = white_noise_model(np.diag([4.0, 1.0]))
-        seq = wold(model, 5)
-        assert girf(model, seq, 0, 0) == pytest.approx([2.0, 0.0], abs=1e-15)
-
-    def test_correlated_contemporaneous_response(self):
-        model = white_noise_model([[1.0, 0.5], [0.5, 1.0]])
-        seq = wold(model, 5)
-        assert girf(model, seq, 0, 0) == pytest.approx([1.0, 0.5], abs=1e-15)
-
-    def test_bad_indices(self):
-        model = white_noise_model(np.eye(2))
-        seq = wold(model, 5)
-        with pytest.raises(DataError):
-            girf(model, seq, 2, 0)
-        with pytest.raises(DataError):
-            girf(model, seq, 0, 6)
 
 
 class TestGfevd:

@@ -4,6 +4,7 @@ import pytest
 from freqconn.errors import DataError, NumericError
 from freqconn.ingest import synth_var_panel
 from freqconn.varcore import (
+    _fmt_matrix,
     fit_var,
     fit_var_values,
     model_from_text,
@@ -173,6 +174,13 @@ class TestSerialization:
             assert np.array_equal(a, b)
         assert np.array_equal(back.sigma, model.sigma)
         assert np.array_equal(back.intercept, model.intercept)
+
+    def test_matrix_format_is_repr_of_each_float(self):
+        # the written files of fit, connect and roll spell vectors this way
+        v = np.array([0.1, -2.5e-17, 3.0])
+        assert _fmt_matrix(v) == " ".join(repr(float(x)) for x in v)
+        m = np.array([[1.0, 0.2], [1 / 3, -4.0]])
+        assert _fmt_matrix(m) == "1.0 0.2 ; 0.3333333333333333 -4.0"
 
     def test_missing_field_reported(self):
         with pytest.raises(DataError, match="missing field"):
