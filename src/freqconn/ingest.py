@@ -216,9 +216,10 @@ _SEPARATORS = np.frombuffer(b"--T:::,", np.uint8)
 _SIGN_COL = 19
 _PRICE_COL = 26
 # bytes a canonical price may hold; 0 is the padding of shorter rows
-_PRICE_BYTES = np.zeros(256, dtype=bool)
-_PRICE_BYTES[list(b"\x000123456789.eE+-")] = True
+_PRICE_BYTES = b"\x000123456789.eE+-"
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# largest hour, minute, second, offset hour and offset minute
+_CLOCK_MAX = np.array([23, 59, 59, 23, 59], dtype=np.uint8)
 # bytes of rows per parse window, and the widest row a window takes (a 38-byte
 # price): with both bounds a window's working arrays stay near 10 MiB whatever
 # the file
@@ -230,25 +231,29 @@ _BOM = "\ufeff".encode()
 def _canonical_chunk(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     """UTC microseconds and prices of canonical rows, or None if a row is not
     canonical, has an impossible date or time, or has an unparseable price."""
-    if max(map(len, rows)) > _MAX_ROW_BYTES:
+    width = max(map(len, rows))
+    if not _PRICE_COL < width <= _MAX_ROW_BYTES:
         return None
-    block = np.array(rows, dtype=bytes)
-    if block.itemsize <= _PRICE_COL:
-        return None
-    m = block.view(np.uint8).reshape(len(rows), block.itemsize)
+    m = np.array(rows, dtype=f"S{width}").view(np.uint8).reshape(len(rows), width)
     digits = m[:, _DIGIT_COLS] - np.uint8(ord("0"))  # non-digits wrap above 9
     sign = m[:, _SIGN_COL]
+    price = np.ascontiguousarray(m[:, _PRICE_COL:])
     if ((digits > 9).any() or (m[:, _SEPARATOR_COLS] != _SEPARATORS).any()
             or ((sign != ord("+")) & (sign != ord("-"))).any()
-            or not _PRICE_BYTES[m[:, _PRICE_COL:]].all()):
+            or price.tobytes().translate(None, _PRICE_BYTES)):
         return None
-    d = digits.astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day, hour, minute, second, off_h, off_m = (d[:, 4::2] * 10 + d[:, 5::2]).T
+    # the nine two-digit fields (century, year, month, day, hour, minute,
+    # second, offset hours and minutes), each at most 99
+    pairs = digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]
+    if not (pairs[:, 4:] <= _CLOCK_MAX).all():
+        return None
+    # each date is checked and converted once per run of rows that share it
+    key = np.ascontiguousarray(pairs[:, :4]).view(np.uint32).ravel()
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    century, yy, month, day = pairs[first, :4].T.astype(np.int64)
+    year = century * 100 + yy
     # years 2-9998 keep a shift of up to 23:59 inside datetime's years 1-9999
-    if not (((2 <= year) & (year <= 9998) & (1 <= month) & (month <= 12)).all()
-            and (hour <= 23).all() and (minute <= 59).all() and (second <= 59).all()
-            and (off_h <= 23).all() and (off_m <= 59).all()):
+    if not ((2 <= year) & (year <= 9998) & (1 <= month) & (month <= 12)).all():
         return None
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     if not ((1 <= day) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))).all():
@@ -258,14 +263,19 @@ def _canonical_chunk(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
     era = y // 400
     yoe = y - era * 400
     doe = yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    offset = (off_h * 3600 + off_m * 60) * np.where(sign == ord("+"), 1, -1)
-    seconds = ((era * 146_097 + doe - 719_468) * 24 + hour) * 3600 + minute * 60 + second
-    price_text = np.ascontiguousarray(m[:, _PRICE_COL:]).view(f"S{m.shape[1] - _PRICE_COL}")
+    seconds = np.repeat((era * 146_097 + doe - 719_468) * SECONDS_PER_DAY,
+                        np.diff(first, append=len(rows)))
+    # time of day less the UTC offset, in int32 (|value| < 2 * 86,400)
+    hour, minute, second, off_h, off_m = pairs[:, 4:].T.astype(np.int32, order="C")
+    offset = off_h * np.int32(3600) + off_m * np.int32(60)
+    seconds += hour * np.int32(3600) + minute * np.int32(60) + second - np.where(
+        sign == ord("+"), offset, -offset)
+    seconds *= 1_000_000
     try:
-        prices = price_text.ravel().astype(float)
+        prices = price.view(f"S{price.shape[1]}").ravel().astype(float)
     except ValueError:
         return None
-    return (seconds - offset) * 1_000_000, prices
+    return seconds, prices
 
 
 def _load_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -391,6 +401,11 @@ def filter_calendar(ticks: TickSeries, rules: CalendarRules) -> TickSeries:
 # resampling and bi-power variation
 # ---------------------------------------------------------------------------
 
+# grid points per resample block: whole days, and at least one, so that a
+# block's index arrays stay near 1 MiB whatever the spacing
+_BLOCK_POINTS = 1 << 16
+
+
 def resample_grid(
     ticks: TickSeries,
     spacing: dt.timedelta = dt.timedelta(minutes=5),
@@ -414,21 +429,31 @@ def resample_grid(
     if (end_s - start_s) % step != 0:
         raise UsageError("grid spacing must divide the session length")
 
-    offsets = np.arange(start_s, end_s + 1, step).astype("timedelta64[s]")
+    offsets = np.arange(start_s, end_s + 1, step, dtype=np.int64) * 1_000_000
     days, first = _day_runs(ticks.timestamps)
+    last = np.append(first[1:], len(ticks)) - 1
+    us = ticks.timestamps.view(np.int64)
+    day_us = days.astype("datetime64[us]").view(np.int64)
+    per_block = max(1, _BLOCK_POINTS // len(offsets))
     out: list[ReturnGrid] = []
-    for day, lo, hi in zip(days, first, [*first[1:], len(ticks)]):
-        ts = ticks.timestamps[lo:hi]
-        px = ticks.prices[lo:hi]
-        grid = (day.astype("datetime64[s]") + offsets).astype("datetime64[us]")
-        idx = np.searchsorted(ts, grid, side="right") - 1
-        priced = idx >= 0
-        if priced.sum() < 2:
-            log.warning("day_skipped symbol=%s date=%s reason=insufficient_grid_prices",
-                        ticks.symbol, day)
-            continue
-        logp = np.log(px[idx[priced]])
-        out.append(ReturnGrid(ticks.symbol, day.astype(object), np.diff(logp)))
+    for lo in range(0, len(days), per_block):
+        block = slice(lo, lo + per_block)
+        # one search over the whole series; each grid point is then clamped to
+        # its own day's ticks, so the previous tick never comes from another day
+        idx = np.searchsorted(us, day_us[block, None] + offsets, side="right") - 1
+        np.minimum(idx, last[block, None], out=idx)
+        priced = idx >= first[block, None]
+        count = priced.sum(axis=1)
+        # a day's priced points are a suffix of its row, so the block's log
+        # prices run day by day; the differences across two days are never read
+        returns = np.diff(np.log(ticks.prices[idx[priced]]))
+        end = np.cumsum(count)
+        for day, n, hi in zip(days[block].tolist(), count.tolist(), end.tolist()):
+            if n < 2:
+                log.warning("day_skipped symbol=%s date=%s reason=insufficient_grid_prices",
+                            ticks.symbol, day)
+                continue
+            out.append(ReturnGrid(ticks.symbol, day, returns[hi - n:hi - 1]))
     return out
 
 

@@ -3,7 +3,8 @@
 Deliberately separate from the library code paths: MA terms come from
 companion-matrix powers, the decomposition sums are explicit loops, and
 frequency-domain cell averages come from quadrature of the transfer
-function rather than from lag autocorrelations.
+function rather than from lag autocorrelations, and the intraday grid is
+resampled one day at a time.
 """
 
 import numpy as np
@@ -100,3 +101,24 @@ def cell_averages(model, psi, n_freq, nodes=8):
     denom = np.diagonal(spectral_density(psi, sigma, omega), axis1=-2, axis2=-1).real
     # the mean over a cell is half the Gauss-Legendre sum on [-1, 1]
     return np.tensordot(w / 2, numer, axes=(0, 1)), np.tensordot(w / 2, denom, axes=(0, 1))
+
+
+def resample_per_day(ticks, spacing_s, session):
+    """Previous-tick grid returns of each UTC day, searching only that day's
+    ticks: ``([(date, returns), ...], [skipped date, ...])``, where a day with
+    fewer than 2 priced grid points is skipped."""
+    start_s, end_s = session
+    offsets = np.arange(start_s, end_s + 1, spacing_s).astype("timedelta64[s]")
+    day_of_tick = ticks.timestamps.astype("datetime64[D]")
+    grids, skipped = [], []
+    for day in np.unique(day_of_tick):
+        on_day = day_of_tick == day
+        ts, px = ticks.timestamps[on_day], ticks.prices[on_day]
+        grid = (day.astype("datetime64[s]") + offsets).astype("datetime64[us]")
+        idx = np.searchsorted(ts, grid, side="right") - 1
+        priced = idx >= 0
+        if priced.sum() < 2:
+            skipped.append(day.astype(object))
+            continue
+        grids.append((day.astype(object), np.diff(np.log(px[idx[priced]]))))
+    return grids, skipped

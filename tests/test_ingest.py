@@ -26,6 +26,7 @@ from freqconn.ingest import (
     write_panel_csv,
 )
 from helpers import make_model
+from oracles import resample_per_day
 
 
 DATA = Path(__file__).parent / "data"
@@ -263,6 +264,29 @@ class TestArrayPath:
         text = "timestamp,price\n" + "\n".join(rows) + "\n"
         assert outcome(array_path, text) == outcome(per_line, text)
 
+    @pytest.mark.parametrize("rows, array_parse", [
+        # one date, three offsets: the rows share their date bytes but not a UTC day
+        (["2001-03-05T10:00:00+05:00,50.0", "2001-03-05T09:00:00-03:00,51.0",
+          "2001-03-05T23:30:00-03:00,52.0", "2001-03-06T08:00:00+05:00,53.0"], True),
+        # offsets that move UTC back over the year end, then forward over it
+        (["2003-12-31T20:00:00+00:00,50.0", "2004-01-01T00:30:00+03:00,51.0",
+          "2003-12-31T23:00:00-02:00,52.0", "2004-01-01T01:30:00+00:00,53.0"], True),
+        # impossible dates that start a run in the middle of a window
+        (["2003-02-28T10:00:00+00:00,50.0", "2003-02-28T11:00:00+00:00,50.5",
+          "2003-02-29T10:00:00+00:00,51.0", "2003-02-29T11:00:00+00:00,52.0",
+          "2003-03-01T10:00:00+00:00,53.0"], False),
+        (["2004-04-30T10:00:00+00:00,50.0", "2004-04-31T10:00:00+00:00,51.0",
+          "2004-04-31T11:00:00+00:00,52.0"], False),
+        # the extreme years with the widest offsets on either side
+        (["0002-01-01T00:00:00+23:59,50.0", "0002-01-01T00:00:00-23:59,51.0",
+          "9998-12-31T23:59:59+23:59,52.0", "9998-12-31T23:59:59-23:59,53.0"], True),
+    ])
+    def test_date_runs_match_per_line_parser(self, rows, array_parse, window_rows):
+        text = "timestamp,price\n" + "\n".join(rows) + "\n"
+        assert (canonical(text) is not None) == array_parse
+        assert window_rows[0] == len(rows)  # every row in one window
+        assert outcome(array_path, text) == outcome(per_line, text)
+
     def test_overlong_row_goes_row_by_row(self):
         text = f"timestamp,price\n{ROW},1.{'0' * 36}\n2001-03-05T10:00:01+00:00,1.{'0' * 37}\n"
         assert canonical(text) is None  # a 39-byte price
@@ -394,6 +418,72 @@ class TestResampleGrid:
         ts = minute_ticks([("00:01:00", 100.0)])
         with pytest.raises(UsageError, match="divide"):
             resample_grid(ts, spacing=dt.timedelta(minutes=7), session=(0, 600))
+
+
+GRIDS = {"5 min, whole day": (5, (0, 86_400)), "1 min, 08:00-16:00": (1, (8 * 3600, 16 * 3600))}
+
+
+def assert_matches_per_day(ticks, grid, caplog, block_days):
+    """Bit-for-bit the per-day oracle's returns, skipped days and warnings."""
+    minutes, session = GRIDS[grid]
+    block_days((session[1] - session[0]) // (minutes * 60) + 1)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="freqconn.ingest"):
+        got = resample_grid(ticks, spacing=dt.timedelta(minutes=minutes), session=session)
+    want, skipped = resample_per_day(ticks, minutes * 60, session)
+    assert [(g.trading_day, g.returns.tobytes()) for g in got] == [
+        (day, r.tobytes()) for day, r in want]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"day_skipped symbol={ticks.symbol} date={day} reason=insufficient_grid_prices"
+        for day in skipped]
+    return got, skipped
+
+
+@pytest.fixture(params=[0, 1, 2], ids=["default block", "1-day blocks", "2-day blocks"])
+def block_days(request, monkeypatch):
+    """Sets the resample block to the default, or to one or two days of a
+    grid of the given points per day, so that runs of days straddle block
+    edges."""
+    def set_for(points_per_day):
+        if request.param:
+            monkeypatch.setattr(ingest, "_BLOCK_POINTS", request.param * points_per_day)
+    return set_for
+
+
+class TestResampleMatchesPerDay:
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_fixtures(self, grid, block_days, caplog):
+        for path in sorted(DATA.glob("ticks_*.csv")):
+            ticks = filter_calendar(load_ticks(path, path.stem), low_activity_rules())
+            got, _ = assert_matches_per_day(ticks, grid, caplog, block_days)
+            assert len(got) == 5
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_canonical_files(self, seed, grid, block_days, caplog):
+        ticks = array_path(canonical_file(seed, 700))
+        got, _ = assert_matches_per_day(ticks, grid, caplog, block_days)
+        assert len(got) > 7
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_edge_days(self, grid, block_days, caplog):
+        stamps = [
+            "2001-03-05T10:00:00", "2001-03-05T23:00:00",
+            "2001-03-06T00:00:00",  # on the 5th's last grid point of a whole day
+            "2001-03-06T15:59:00", "2001-03-06T16:00:00",
+            "2001-03-07T23:58:00",  # one priced point on a whole-day grid
+            "2001-03-08T16:30:00", "2001-03-08T17:00:00",  # after 16:00: none priced
+            "2001-03-09T08:00:00", "2001-03-09T12:00:00",
+            "2001-03-10T23:59:59",  # alone, after a session's last grid point
+        ]
+        ticks = TickSeries("CO", np.array(stamps, dtype="datetime64[us]"),
+                           100.0 + np.arange(len(stamps)))
+        got, skipped = assert_matches_per_day(ticks, grid, caplog, block_days)
+        first_day = {g.trading_day: g.returns for g in got}[dt.date(2001, 3, 5)]
+        # the whole day's 24:00 point takes the 5th's last price, not the 6th's first
+        want = math.log(101.0 / 100.0) if GRIDS[grid][1][1] == 86_400 else 0.0
+        assert first_day.sum() == pytest.approx(want, abs=1e-15)
+        assert dt.date(2001, 3, 10) in skipped
 
 
 def day_of(returns):
