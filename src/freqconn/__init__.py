@@ -27,7 +27,6 @@ from .freqdomain import (
     spectral_gfevd,
 )
 from .ingest import (
-    CalendarRules,
     ReturnGrid,
     TickSeries,
     VolatilityPanel,
@@ -35,7 +34,6 @@ from .ingest import (
     build_panel,
     filter_calendar,
     load_ticks,
-    low_activity_rules,
     read_panel_csv,
     resample_grid,
     summary_stats,
@@ -48,16 +46,13 @@ from .varcore import VarModel, WoldSequence, fit_var, stability, wold
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandMeasures", "BandSpec", "BootstrapSpec", "CalendarRules",
-    "ConnectednessTable", "DataError", "DyMeasures", "EventGrid",
-    "FreqconnError", "NumericError", "ReturnGrid", "RollingResult",
-    "SpectralGrid", "TickSeries", "TrendFit", "UsageError", "VarModel",
-    "VolatilityPanel", "WoldSequence", "annotate", "band_measures",
-    "band_table", "bipower_variation", "bootstrap_bands", "build_panel",
-    "days_to_band", "dy_measures", "filter_calendar", "fit_var",
-    "gfevd", "linear_trend", "load_ticks",
-    "low_activity_rules", "ratio_series", "read_panel_csv", "resample_grid",
-    "rolling_connectedness", "spectral_gfevd",
-    "stability", "summary_stats", "synth_var_panel", "wold",
-    "write_panel_csv",
+    "BandMeasures", "BandSpec", "BootstrapSpec", "ConnectednessTable",
+    "DataError", "DyMeasures", "EventGrid", "FreqconnError", "NumericError",
+    "ReturnGrid", "RollingResult", "SpectralGrid", "TickSeries", "TrendFit",
+    "UsageError", "VarModel", "VolatilityPanel", "WoldSequence", "annotate",
+    "band_measures", "band_table", "bipower_variation", "bootstrap_bands",
+    "build_panel", "days_to_band", "dy_measures", "filter_calendar", "fit_var",
+    "gfevd", "linear_trend", "load_ticks", "ratio_series", "read_panel_csv",
+    "resample_grid", "rolling_connectedness", "spectral_gfevd", "stability",
+    "summary_stats", "synth_var_panel", "wold", "write_panel_csv",
 ]

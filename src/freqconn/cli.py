@@ -76,7 +76,7 @@ _OPTIONS = {
                             DEFAULT_SIGNIFICANCE, ((lambda v: 0.0 < v < 1.0), "in (0, 1)")),
     "seed": _Option("roll synth", "random seed", int, 0),
     "events": _Option("roll", "events CSV (date,label) for annotation"),
-    "transform": _Option("rv fit connect roll synth", "volatility transform", str, "log",
+    "transform": _Option("rv", "volatility transform", str, "log",
                          choices=ingest.TRANSFORMS),
     "no_intercept": _Option("fit connect roll", "drop the VAR constant term", bool),
     "ratios": _Option("roll", "emit short/long ratio series and trend fits (needs 2 bands)", bool),
@@ -106,10 +106,13 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     except DataError as exc:
         raise UsageError(str(exc)) from None
     parser = configparser.ConfigParser()
-    parser.read_file(io.StringIO(text, newline=None), source=path)  # universal newlines
-    if not parser.has_section("freqconn"):
-        raise UsageError(f"config file {path!r} lacks a [freqconn] section")
-    items = dict(parser.items("freqconn"))
+    try:
+        parser.read_file(io.StringIO(text, newline=None), source=path)  # universal newlines
+        items = dict(parser.items("freqconn"))
+    except configparser.NoSectionError:
+        raise UsageError(f"config file {path!r} lacks a [freqconn] section") from None
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path!r}: {str(exc).splitlines()[0]}") from None
     unknown = sorted(set(items) - set(_CONFIG_KEYS))
     if unknown:
         raise UsageError(f"config file {path!r} has unknown key(s) "
@@ -244,7 +247,6 @@ def cmd_rv(args: argparse.Namespace) -> int:
                     holidays.append(dt.date.fromisoformat(line.strip()))
                 except ValueError:
                     raise DataError(f"holidays line {lineno}: bad date {line.strip()!r}") from None
-    rules = ingest.low_activity_rules(holidays)
     session = parse_session(str(cfg["session"]))
     spacing = dt.timedelta(minutes=int(cfg["spacing"]))
 
@@ -255,7 +257,7 @@ def cmd_rv(args: argparse.Namespace) -> int:
             ticks = ingest.load_ticks(path, symbol)
             rows = len(ticks)
             log.info("ticks_loaded symbol=%s rows=%d", symbol, rows)
-            ticks = ingest.filter_calendar(ticks, rules)
+            ticks = ingest.filter_calendar(ticks, holidays)
             log.info("calendar_excluded symbol=%s rows=%d", symbol, rows - len(ticks))
             grids = ingest.resample_grid(ticks, spacing=spacing, session=session)
             daily = [(g.trading_day, ingest.bipower_variation(g)) for g in grids]
@@ -274,7 +276,7 @@ def cmd_rv(args: argparse.Namespace) -> int:
             panel = ingest.build_panel(per_symbol, transform=str(cfg["transform"]))
             ingest.write_panel_csv(panel, out / "panel.csv")
             log.info("panel_written days=%d symbols=%d transform=%s",
-                     panel.shape[0], panel.shape[1], panel.transform_tag)
+                     panel.shape[0], panel.shape[1], cfg["transform"])
             try:
                 stats = ingest.summary_stats(ingest.build_panel(per_symbol, transform="sqrt"))
                 (out / "summary_stats.csv").write_text(stats.to_csv_text(), encoding="utf-8")
@@ -286,16 +288,12 @@ def cmd_rv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_panel(args, cfg) -> ingest.VolatilityPanel:
-    return ingest.read_panel_csv(args.panel, transform_tag=str(cfg["transform"]))
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out = _prepare_out(cfg)
     _write_config_echo(cfg, out, "fit", [args.panel])
     with _RunLog(out):
-        panel = _read_panel(args, cfg)
+        panel = ingest.read_panel_csv(args.panel)
         model = varcore.fit_var(panel, int(cfg["lags"]), include_intercept=not args.no_intercept)
         stable, radius = varcore.stability(model)
         log.info("fit k=%d p=%d n_obs=%d radius=%s stable=%s",
@@ -311,7 +309,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
     bands = parse_band_string(str(cfg["bands"]))
     _write_config_echo(cfg, out, "connect", [args.panel])
     with _RunLog(out):
-        panel = _read_panel(args, cfg)
+        panel = ingest.read_panel_csv(args.panel)
         model = varcore.fit_var(panel, int(cfg["lags"]), include_intercept=not args.no_intercept)
         h_trunc = int(cfg["htrunc"])
         w = varcore.wold(model, h_trunc)
@@ -361,7 +359,7 @@ def cmd_roll(args: argparse.Namespace) -> int:
     bands = parse_band_string(str(cfg["bands"]))
     _write_config_echo(cfg, out, "roll", [args.panel])
     with _RunLog(out):
-        panel = _read_panel(args, cfg)
+        panel = ingest.read_panel_csv(args.panel)
         events = dynamics.read_events_csv(str(cfg["events"])) if cfg.get("events") else None
         bootstrap = None
         if int(cfg["boot"]) > 0:
@@ -384,9 +382,9 @@ def cmd_roll(args: argparse.Namespace) -> int:
         if events is not None:
             result = dynamics.annotate(result, events)
             for mk in result.annotations:
+                placed = mk.anchor_date is not None
                 log.info("event label=%r anchor=%s placed=%s", mk.label,
-                         mk.anchor_date.isoformat() if mk.anchor_date else "none",
-                         str(mk.placed).lower())
+                         mk.anchor_date.isoformat() if placed else "none", str(placed).lower())
         dynamics.write_rolling_csv(result, out / "rolling.csv")
         (out / "rolling_meta.txt").write_text(dynamics.rolling_meta_text(result), encoding="utf-8")
         if args.ratios:
@@ -446,8 +444,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             model = varcore.model_from_text(ingest._decode(Path(path).read_bytes(), path))
         else:
             model = default_synth_model(int(cfg["k"]), int(cfg["lags"]))
-        panel = ingest.synth_var_panel(model, int(cfg["periods"]), int(cfg["seed"]),
-                                       transform_tag=str(cfg["transform"]))
+        panel = ingest.synth_var_panel(model, int(cfg["periods"]), int(cfg["seed"]))
         ingest.write_panel_csv(panel, out / "panel.csv")
         log.info("synth_panel days=%d symbols=%d seed=%d",
                  panel.shape[0], panel.shape[1], int(cfg["seed"]))

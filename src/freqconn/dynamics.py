@@ -79,8 +79,7 @@ class EventGrid:
 class EventMarker:
     event_date: dt.date
     label: str
-    anchor_date: dt.date | None
-    placed: bool
+    anchor_date: dt.date | None  # None: outside the anchor range
 
 
 @dataclass(frozen=True)
@@ -459,15 +458,15 @@ def annotate(result: RollingResult, events: EventGrid) -> RollingResult:
     markers: list[EventMarker] = []
     for day, label in events.events:
         if day < anchors[0] or day > anchors[-1]:
-            markers.append(EventMarker(day, label, None, False))
+            markers.append(EventMarker(day, label, None))
             continue
         pos = bisect_left(anchors, day)
         if pos < len(anchors) and anchors[pos] == day:
-            markers.append(EventMarker(day, label, day, True))
+            markers.append(EventMarker(day, label, day))
             continue
         before, after = anchors[pos - 1], anchors[pos]
         chosen = before if (day - before) <= (after - day) else after
-        markers.append(EventMarker(day, label, chosen, True))
+        markers.append(EventMarker(day, label, chosen))
     return replace(result, annotations=tuple(markers))
 
 

@@ -76,10 +76,11 @@ def days_to_band(short_days: float, long_days: float) -> BandSpec:
     return BandSpec(lower=lower, upper=upper, label=label)
 
 
-def is_partition(bands: tuple[BandSpec, ...] | list[BandSpec], tol: float = 1e-12) -> bool:
+def is_partition(bands: tuple[BandSpec, ...] | list[BandSpec]) -> bool:
     """True when the bands tile (0, pi] with disjoint half-open intervals."""
     if not bands:
         return False
+    tol = 1e-12  # on each edge
     ordered = sorted(bands, key=lambda b: b.lower)
     if abs(ordered[0].lower) > tol or abs(ordered[-1].upper - math.pi) > tol:
         return False
@@ -106,10 +107,6 @@ class SpectralGrid:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.numer_lags.shape[1]
 
 
 def _check_n_freq(n_freq: int) -> None:

@@ -83,49 +83,6 @@ class ReturnGrid:
 
 
 @dataclass(frozen=True)
-class CalendarRules:
-    """Date exclusions applied before resampling.
-
-    ``fixed_exclusion_windows`` are (month, day) pairs, inclusive on both
-    ends; a window may wrap the year end (e.g. Dec 31 - Jan 2).
-    """
-
-    weekend_exclusion: bool = True
-    fixed_exclusion_windows: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
-    holiday_list: frozenset[dt.date] = frozenset()
-
-    def __post_init__(self):
-        for (sm, sd), (em, ed) in self.fixed_exclusion_windows:
-            for m, d in ((sm, sd), (em, ed)):
-                if not (1 <= m <= 12 and 1 <= d <= 31):
-                    raise UsageError(f"invalid month-day pair ({m}, {d}) in exclusion window")
-
-    def excludes(self, day: dt.date) -> bool:
-        if self.weekend_exclusion and day.weekday() >= 5:
-            return True
-        if day in self.holiday_list:
-            return True
-        md = (day.month, day.day)
-        for start, end in self.fixed_exclusion_windows:
-            if start <= end:
-                if start <= md <= end:
-                    return True
-            elif md >= start or md <= end:  # wraps the year end
-                return True
-        return False
-
-
-def low_activity_rules(holidays: Iterable[dt.date] = ()) -> CalendarRules:
-    """Default exclusion set: weekends, Dec 24-26, Dec 31 - Jan 2, plus any
-    explicitly supplied holidays."""
-    return CalendarRules(
-        weekend_exclusion=True,
-        fixed_exclusion_windows=(((12, 24), (12, 26)), ((12, 31), (1, 2))),
-        holiday_list=frozenset(holidays),
-    )
-
-
-@dataclass(frozen=True)
 class VolatilityPanel:
     """T x k matrix of daily (transformed) realized volatilities on a shared
     strictly increasing date index. No missing cells; k >= 2."""
@@ -133,7 +90,6 @@ class VolatilityPanel:
     dates: tuple[dt.date, ...]
     symbols: tuple[str, ...]
     values: np.ndarray  # (T, k)
-    transform_tag: str = "log"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -145,8 +101,6 @@ class VolatilityPanel:
             raise DataError("panel dates must be strictly increasing")
         if not np.isfinite(vals).all():
             raise DataError("panel contains non-finite cells")
-        if self.transform_tag not in TRANSFORMS:
-            raise UsageError(f"unknown transform tag {self.transform_tag!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -184,8 +138,9 @@ class PanelStats:
 # ---------------------------------------------------------------------------
 
 def _decode(raw: bytes, name: str | Path) -> str:
+    """The UTF-8 text of a file's bytes, without any leading BOMs."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").lstrip("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataError(f"{name}: not UTF-8 text at byte offset {exc.start}") from None
 
@@ -334,7 +289,7 @@ def load_ticks(source: str | Path | BinaryIO, symbol: str) -> TickSeries:
         raw, name = Path(source).read_bytes(), source
     canonical = _load_canonical(raw)
     if canonical is None:
-        return _load_rows(_decode(raw, name).lstrip("\ufeff"), symbol)
+        return _load_rows(_decode(raw, name), symbol)
     del raw  # the series' own checks run without the file's bytes held
     return TickSeries(symbol, *canonical)
 
@@ -385,10 +340,17 @@ def _day_runs(timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return day[first], first
 
 
-def filter_calendar(ticks: TickSeries, rules: CalendarRules) -> TickSeries:
-    """Drop every observation falling on an excluded date; order preserved."""
+# (month, day) of the low-activity days around the year end
+_QUIET_DAYS = frozenset({(12, 24), (12, 25), (12, 26), (12, 31), (1, 1), (1, 2)})
+
+
+def filter_calendar(ticks: TickSeries, holidays: Iterable[dt.date] = ()) -> TickSeries:
+    """Drop every observation on a low-activity UTC date: weekends, Dec 24-26,
+    Dec 31 - Jan 2 and ``holidays``. Order is preserved."""
+    holidays = frozenset(holidays)
     days, first = _day_runs(ticks.timestamps)
-    keep_day = np.array([not rules.excludes(d) for d in days.astype(object)], dtype=bool)
+    keep_day = np.array([d.weekday() < 5 and (d.month, d.day) not in _QUIET_DAYS
+                         and d not in holidays for d in days.tolist()], dtype=bool)
     if keep_day.all():
         return ticks
     if not keep_day.any():
@@ -506,7 +468,7 @@ def build_panel(
     for j, s in enumerate(symbols):
         for i, d in enumerate(dates):
             values[i, j] = _apply_transform(maps[s][d], transform, s, d)
-    return VolatilityPanel(dates, symbols, values, transform_tag=transform)
+    return VolatilityPanel(dates, symbols, values)
 
 
 def summary_stats(panel: VolatilityPanel) -> PanelStats:
@@ -535,23 +497,18 @@ def summary_stats(panel: VolatilityPanel) -> PanelStats:
 # synthetic data
 # ---------------------------------------------------------------------------
 
-def synth_var_panel(
-    model,
-    n_periods: int,
-    seed,
-    start_date: dt.date = dt.date(2000, 1, 3),
-    transform_tag: str = "log",
-) -> VolatilityPanel:
+def synth_var_panel(model, n_periods: int, seed) -> VolatilityPanel:
     """Simulate a panel from a stable VAR with Gaussian innovations.
 
     Deterministic given ``seed``; a burn-in of ``max(1000, 10 p)`` draws is
-    discarded. Dates are consecutive calendar days from ``start_date``.
+    discarded. Dates are consecutive calendar days from 2000-01-03.
     """
     if not model.is_stable:
         raise NumericError(f"generator VAR is unstable (spectral radius {model.spectral_radius:.6g})")
     values = simulate_var(model, n_periods, [seed])[0]
-    dates = tuple(start_date + dt.timedelta(days=i) for i in range(n_periods))
-    return VolatilityPanel(dates, model.variable_names, values, transform_tag=transform_tag)
+    start = dt.date(2000, 1, 3)
+    dates = tuple(start + dt.timedelta(days=i) for i in range(n_periods))
+    return VolatilityPanel(dates, model.variable_names, values)
 
 
 def simulate_var(model, n_periods: int, seeds: Sequence) -> np.ndarray:
@@ -602,7 +559,7 @@ def write_panel_csv(panel: VolatilityPanel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_panel_csv(path: str | Path, transform_tag: str = "log") -> VolatilityPanel:
+def read_panel_csv(path: str | Path) -> VolatilityPanel:
     lines = _decode(Path(path).read_bytes(), path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty panel file")
@@ -625,4 +582,4 @@ def read_panel_csv(path: str | Path, transform_tag: str = "log") -> VolatilityPa
             raise DataError(f"{path} line {lineno}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return VolatilityPanel(tuple(dates), symbols, np.array(rows), transform_tag=transform_tag)
+    return VolatilityPanel(tuple(dates), symbols, np.array(rows))

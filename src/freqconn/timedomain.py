@@ -49,10 +49,6 @@ class ConnectednessTable:
         raw.setflags(write=False)
         object.__setattr__(self, "raw", raw)
 
-    @property
-    def k(self) -> int:
-        return len(self.variable_names)
-
     def to_csv_text(self) -> str:
         lines = ["," + ",".join(self.variable_names)]
         for i, name in enumerate(self.variable_names):

@@ -124,10 +124,6 @@ class WoldSequence:
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def k(self) -> int:
-        return self.psi.shape[1]
-
 
 def fit_var(panel: VolatilityPanel, p: int, include_intercept: bool = True) -> VarModel:
     """Estimate a VAR(p) by ordinary least squares.

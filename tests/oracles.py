@@ -3,8 +3,9 @@
 Deliberately separate from the library code paths: MA terms come from
 companion-matrix powers, the decomposition sums are explicit loops, and
 frequency-domain cell averages come from quadrature of the transfer
-function rather than from lag autocorrelations, and the intraday grid is
-resampled one day at a time.
+function rather than from lag autocorrelations, the intraday grid is
+resampled one day at a time, and the low-activity calendar is a generic
+rule set of exclusion windows.
 """
 
 import numpy as np
@@ -122,3 +123,26 @@ def resample_per_day(ticks, spacing_s, session):
             continue
         grids.append((day.astype(object), np.diff(np.log(px[idx[priced]]))))
     return grids, skipped
+
+
+# weekends, Dec 24-26 and Dec 31 - Jan 2 as inclusive (month, day) windows;
+# the second one wraps the year end
+LOW_ACTIVITY_WINDOWS = (((12, 24), (12, 26)), ((12, 31), (1, 2)))
+
+
+def calendar_excludes(day, holidays=frozenset(), weekends=True,
+                      windows=LOW_ACTIVITY_WINDOWS):
+    """True when ``day`` falls on a weekend, on a holiday or inside a fixed
+    (month, day) window."""
+    if weekends and day.weekday() >= 5:
+        return True
+    if day in holidays:
+        return True
+    md = (day.month, day.day)
+    for start, end in windows:
+        if start <= end:
+            if start <= md <= end:
+                return True
+        elif md >= start or md <= end:  # wraps the year end
+            return True
+    return False

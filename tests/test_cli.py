@@ -358,6 +358,28 @@ class TestConfigResolution:
         assert capsys.readouterr().err == (f"usage error: config file {str(cfg)!r}: not UTF-8 "
                                            f"text at byte offset {raw.index(0xe9)}\n")
 
+    def test_config_file_without_freqconn_section_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[other]\nseed = 4\n")
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: config file {str(cfg)!r} lacks a [freqconn] section\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 4\n", "File contains no section headers."),
+        ("[freqconn]\nseed = 4\nseed = 5\n",
+         "While reading from {path!r} [line  3]: option 'seed' in section 'freqconn' "
+         "already exists"),
+        ("[freqconn]\nbands = 1:5%,5:inf\n",
+         "'%' must be followed by '%' or '(', found: '%,5:inf'"),
+    ], ids=["no section header", "duplicate key", "percent sign"])
+    def test_malformed_config_file_is_usage_error(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        path = str(cfg)
+        assert capsys.readouterr().err == (
+            f"usage error: config file {path!r}: {message.format(path=path)}\n")
 
     def test_flags_beat_file_beats_defaults(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -426,7 +448,7 @@ class TestOptionTable:
 
     def test_flag_counts(self):
         counts = {c: len(offered_flags(c)) for c in COMMANDS}
-        assert counts == {"rv": 7, "fit": 5, "connect": 8, "roll": 15, "synth": 11}
+        assert counts == {"rv": 7, "fit": 4, "connect": 7, "roll": 14, "synth": 10}
 
     @pytest.mark.parametrize("argv", [
         ["rv", TICKS[0], "--nfreq", "64"],
@@ -434,6 +456,10 @@ class TestOptionTable:
         ["connect", "panel.csv", "--window", "300"],
         ["synth", "--no-intercept"],
         ["roll", "panel.csv", "--spacing", "5"],
+        ["fit", "panel.csv", "--transform", "log"],
+        ["connect", "panel.csv", "--transform", "log"],
+        ["roll", "panel.csv", "--transform", "raw"],
+        ["synth", "--transform", "sqrt"],
     ])
     def test_unread_flag_is_usage_error(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -480,3 +506,57 @@ class TestRunLog:
         assert any(line.startswith("warning category=RuntimeWarning message=Wold tail norm")
                    for line in lines)
         assert "Wold tail" not in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Every reader drops leading BOMs, as the tick reader does: an input
+    with one gives the same outputs as the input without."""
+
+    def outputs(self, tmp_path, name, text, argv):
+        """Output files of ``argv(path)`` on ``text`` without and with a
+        leading BOM, less the config echo, which names the input."""
+        trees = []
+        for bom in ("", "\ufeff"):
+            path = tmp_path / f"{len(bom)}{name}"
+            path.write_text(bom + text, encoding="utf-8")
+            out = tmp_path / f"out{len(bom)}"
+            assert run([*argv(str(path)), "--out", str(out)]) == 0
+            trees.append({file: data for file, data in tree_bytes(out).items()
+                          if file != "resolved_config.txt"})
+        return trees
+
+    def synth_panel(self, tmp_path):
+        out = tmp_path / "synth"
+        assert run(["synth", "--k", "2", "--periods", "300", "--seed", "25",
+                    "--out", str(out)]) == 0
+        return out / "panel.csv"
+
+    def test_panel(self, tmp_path):
+        text = self.synth_panel(tmp_path).read_text()
+        plain, marked = self.outputs(tmp_path, "panel.csv", text, lambda p: ["fit", p])
+        assert plain == marked
+
+    def test_events(self, tmp_path):
+        panel = str(self.synth_panel(tmp_path))
+        plain, marked = self.outputs(
+            tmp_path, "events.csv", "date,label\n2000-10-02,shock one\n",
+            lambda p: ["roll", panel, "--window", "250", "--step", "10", "--events", p])
+        assert plain == marked and b"placed=true" in plain["run.log"]
+
+    def test_holidays(self, tmp_path):
+        plain, marked = self.outputs(tmp_path, "holidays.txt", "2001-03-06\n",
+                                     lambda p: ["rv", *TICKS, "--holidays", p])
+        assert plain == marked and b"\n2001-03-07," in plain["panel.csv"]
+        assert b"2001-03-06" not in plain["panel.csv"]
+
+    def test_config(self, tmp_path):
+        plain, marked = self.outputs(tmp_path, "run.ini", "[freqconn]\nperiods = 150\n",
+                                     lambda p: ["synth", "--config", p])
+        assert plain == marked and len(plain["panel.csv"].splitlines()) == 151
+
+    def test_model(self, tmp_path):
+        text = model_to_text(make_model(np.diag([0.5, 0.3]), np.eye(2)))
+        text = text.split("\n", 1)[1]  # the BOM precedes "k: 2", not the unread format line
+        plain, marked = self.outputs(tmp_path, "model.txt", text,
+                                     lambda p: ["synth", "--model", p, "--periods", "120"])
+        assert plain == marked

@@ -73,8 +73,7 @@ class TestRollingConnectedness:
         a = np.concatenate([np.full(500, 1.0), rng.standard_normal(200)])
         b = rng.standard_normal(t_total)
         dates = tuple(dt.date(2000, 1, 1) + dt.timedelta(days=i) for i in range(t_total))
-        panel = VolatilityPanel(dates, ("A", "B"), np.column_stack([a, b]),
-                                transform_tag="raw")
+        panel = VolatilityPanel(dates, ("A", "B"), np.column_stack([a, b]))
         rolled = rolling_connectedness(panel, p=1, window=500, step=100, bands=())
         assert len(rolled.gaps) == 1
         assert rolled.gaps[0][0] == rolled.anchor_dates[0]
@@ -463,12 +462,12 @@ class TestAnnotate:
     def test_event_on_anchor(self):
         result = annotate(self.make_result(), EventGrid(((dt.date(2020, 1, 20), "crash"),)))
         (mk,) = result.annotations
-        assert mk.placed and mk.anchor_date == dt.date(2020, 1, 20)
+        assert mk.anchor_date == dt.date(2020, 1, 20)
 
     def test_event_before_range_unplaced(self):
         result = annotate(self.make_result(), EventGrid(((dt.date(2019, 12, 1), "early"),)))
         (mk,) = result.annotations
-        assert not mk.placed and mk.anchor_date is None
+        assert mk.anchor_date is None
 
     def test_equidistant_tie_goes_earlier(self):
         result = annotate(self.make_result(), EventGrid(((dt.date(2020, 1, 15), "mid"),)))

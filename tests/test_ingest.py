@@ -10,14 +10,12 @@ import pytest
 from freqconn import ingest
 from freqconn.errors import DataError, NumericError, UsageError
 from freqconn.ingest import (
-    CalendarRules,
     ReturnGrid,
     TickSeries,
     bipower_variation,
     build_panel,
     filter_calendar,
     load_ticks,
-    low_activity_rules,
     read_panel_csv,
     resample_grid,
     simulate_var,
@@ -26,7 +24,7 @@ from freqconn.ingest import (
     write_panel_csv,
 )
 from helpers import make_model
-from oracles import resample_per_day
+from oracles import calendar_excludes, resample_per_day
 
 
 DATA = Path(__file__).parent / "data"
@@ -329,7 +327,7 @@ class TestFilterCalendar:
             "2001-03-02T10:00:00+00:00,50.0",   # Friday
             "2001-03-03T10:00:00+00:00,51.0",   # Saturday
         ]), "CO")
-        kept = filter_calendar(ts, CalendarRules(weekend_exclusion=True))
+        kept = filter_calendar(ts)
         assert len(kept) == 1
         assert kept.prices[0] == 50.0
 
@@ -338,22 +336,50 @@ class TestFilterCalendar:
             "2001-12-20T10:00:00+00:00,50.0",   # Thursday
             "2001-12-25T10:00:00+00:00,51.0",   # Tuesday, inside Dec 24-26
         ]), "CO")
-        kept = filter_calendar(ts, low_activity_rules())
+        kept = filter_calendar(ts)
         assert kept.timestamps.tolist() == [np.datetime64("2001-12-20T10:00:00", "us")]
 
     def test_year_wrap_window(self):
-        rules = low_activity_rules()
-        assert rules.excludes(dt.date(2001, 12, 31))
-        assert rules.excludes(dt.date(2002, 1, 2))
-        assert not rules.excludes(dt.date(2002, 1, 3))
-
-    def test_empty_rules_identity(self):
         ts = load_ticks(ticks_csv([
-            "2001-03-03T10:00:00+00:00,50.0",
-            "2001-12-25T10:00:00+00:00,51.0",
+            "2001-12-31T10:00:00+00:00,50.0",   # Monday
+            "2002-01-02T10:00:00+00:00,51.0",   # Wednesday
+            "2002-01-03T10:00:00+00:00,52.0",   # Thursday
         ]), "CO")
-        kept = filter_calendar(ts, CalendarRules(weekend_exclusion=False))
+        kept = filter_calendar(ts)
+        assert kept.timestamps.tolist() == [np.datetime64("2002-01-03T10:00:00", "us")]
+
+    def test_no_excluded_day_identity(self):
+        ts = load_ticks(ticks_csv([
+            "2001-03-02T10:00:00+00:00,50.0",   # Friday
+            "2001-12-27T10:00:00+00:00,51.0",   # Thursday, between the windows
+        ]), "CO")
+        kept = filter_calendar(ts)
         assert np.array_equal(kept.prices, ts.prices)
+
+    def test_holidays_removed(self):
+        ts = load_ticks(ticks_csv([
+            "2001-03-05T10:00:00+00:00,50.0",   # Monday
+            "2001-03-06T10:00:00+00:00,51.0",   # Tuesday, a holiday
+        ]), "CO")
+        kept = filter_calendar(ts, [dt.date(2001, 3, 6)])
+        assert kept.prices.tolist() == [50.0]
+
+    def test_every_day_excluded_is_data_error(self):
+        ts = load_ticks(ticks_csv(["2001-03-03T10:00:00+00:00,50.0"]), "CO")  # Saturday
+        with pytest.raises(DataError, match="exclude every observation"):
+            filter_calendar(ts)
+
+    @pytest.mark.parametrize("holidays", [frozenset(), frozenset(
+        dt.date(2000, 1, 1) + dt.timedelta(days=int(i))
+        for i in np.random.default_rng(3).choice(12_000, 300, replace=False))])
+    def test_matches_rule_oracle_day_by_day(self, holidays):
+        """One tick at noon UTC on every day from 1999 to 2031: the days kept
+        are exactly those the generic exclusion-window rule keeps."""
+        days = np.arange("1999-01-01", "2032-01-01", dtype="datetime64[D]")
+        ts = TickSeries("CO", days.astype("datetime64[us]") + np.timedelta64(12, "h"),
+                        np.ones(len(days)))
+        kept = filter_calendar(ts, holidays).timestamps.astype("datetime64[D]").tolist()
+        assert kept == [d for d in days.tolist() if not calendar_excludes(d, holidays)]
 
     def test_idempotent(self):
         ts = load_ticks(ticks_csv([
@@ -361,8 +387,8 @@ class TestFilterCalendar:
             "2001-03-03T10:00:00+00:00,51.0",
             "2001-12-25T10:00:00+00:00,52.0",
         ]), "CO")
-        once = filter_calendar(ts, low_activity_rules())
-        twice = filter_calendar(once, low_activity_rules())
+        once = filter_calendar(ts)
+        twice = filter_calendar(once)
         assert np.array_equal(once.prices, twice.prices)
         assert np.array_equal(once.timestamps, twice.timestamps)
 
@@ -454,7 +480,7 @@ class TestResampleMatchesPerDay:
     @pytest.mark.parametrize("grid", GRIDS)
     def test_fixtures(self, grid, block_days, caplog):
         for path in sorted(DATA.glob("ticks_*.csv")):
-            ticks = filter_calendar(load_ticks(path, path.stem), low_activity_rules())
+            ticks = filter_calendar(load_ticks(path, path.stem))
             got, _ = assert_matches_per_day(ticks, grid, caplog, block_days)
             assert len(got) == 5
 
@@ -534,7 +560,6 @@ class TestBuildPanel:
     def test_raw_transform_is_identity(self):
         panel = build_panel(self.make_inputs(), transform="raw")
         assert panel.values[0].tolist() == [1e-4, 2e-4]
-        assert panel.transform_tag == "raw"
 
     def test_log_transform_is_log_of_sqrt(self):
         panel = build_panel(self.make_inputs(), transform="log")
